@@ -106,11 +106,6 @@ impl ReliabilityCurve {
     }
 }
 
-/// Convenience: ECE with 10 bins.
-pub fn expected_calibration_error(probabilities: &[f64], labels: &[bool]) -> f64 {
-    ReliabilityCurve::fit(probabilities, labels, 10).ece()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn calibrated_predictions_have_low_ece() {
         let (probs, labels) = calibrated(50_000, 3);
-        let ece = expected_calibration_error(&probs, &labels);
+        let ece = ReliabilityCurve::fit(&probs, &labels, 10).ece();
         assert!(ece < 0.02, "calibrated ECE {ece}");
     }
 
@@ -151,7 +146,7 @@ mod tests {
             .iter()
             .map(|p| if *p >= 0.5 { 0.99 } else { 0.01 })
             .collect();
-        let ece = expected_calibration_error(&sharpened, &labels);
+        let ece = ReliabilityCurve::fit(&sharpened, &labels, 10).ece();
         assert!(ece > 0.2, "overconfident ECE {ece}");
         let curve = ReliabilityCurve::fit(&sharpened, &labels, 10);
         assert!(curve.mce() >= ece);

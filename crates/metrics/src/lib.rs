@@ -6,11 +6,11 @@
 //!
 //! * streaming descriptive statistics including skewness/kurtosis
 //!   ([`desc`]), streaming quantiles ([`quantile`]), histograms
-//!   ([`histogram`]), reservoir samples ([`reservoir`]);
+//!   ([`histogram`]);
 //! * distribution divergences — KL, JS, PSI, total variation
 //!   ([`divergence`]);
-//! * hypothesis tests — two-sample Kolmogorov–Smirnov, Welch t,
-//!   chi-square — with p-values from in-crate special functions
+//! * hypothesis tests — two-sample Kolmogorov–Smirnov, Welch t — with
+//!   p-values from in-crate special functions
 //!   ([`stattests`], [`special`]);
 //! * drift detectors combining all of the above ([`drift`]);
 //! * ML performance metrics: confusion-matrix family, ROC-AUC, log loss,
@@ -31,14 +31,13 @@ pub mod incident;
 pub mod mlmetrics;
 pub mod plane;
 pub mod quantile;
-pub mod reservoir;
 pub mod sla;
 pub mod special;
 pub mod stattests;
 pub mod window;
 
 pub use alert::{Alert, AlertManager, AlertOutcome, AlertRule, AlertStats, Severity};
-pub use calibration::{expected_calibration_error, ReliabilityBin, ReliabilityCurve};
+pub use calibration::{ReliabilityBin, ReliabilityCurve};
 pub use changepoint::{Cusum, EwmaChart, Shift};
 pub use desc::StreamingMoments;
 pub use divergence::{
@@ -50,7 +49,6 @@ pub use incident::{Incident, IncidentChange, IncidentManager, IncidentPhase};
 pub use mlmetrics::{brier_score, log_loss, mae, mse, r2, rmse, roc_auc, ConfusionMatrix};
 pub use plane::{DriftScore, MonitorConfig, MonitorPlane, MonitorSummary, WindowRoll};
 pub use quantile::{exact_median, exact_quantile, P2Quantile};
-pub use reservoir::Reservoir;
 pub use sla::{Aggregation, Comparator, Sla, SlaStatus};
-pub use stattests::{chi_square_gof, ks_two_sample, welch_t_test, TestResult};
+pub use stattests::{ks_two_sample, welch_t_test, TestResult};
 pub use window::{CountWindow, TimeWindow};

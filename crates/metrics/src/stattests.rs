@@ -1,15 +1,15 @@
 //! Hypothesis tests for drift monitoring: the two-sample
 //! Kolmogorov–Smirnov test (§5.2: "well-known metrics like the
 //! Kolmogorov-Smirnov test statistic can be expensive and produce too many
-//! false positive alerts"), Welch's t-test (the paper's "t-test scores"),
-//! and the chi-square goodness-of-fit test for categorical features.
+//! false positive alerts") and Welch's t-test (the paper's "t-test
+//! scores").
 
-use crate::special::{gamma_q, kolmogorov_q, student_t_two_sided_p};
+use crate::special::{kolmogorov_q, student_t_two_sided_p};
 
 /// Result of a two-sample test: the statistic and its p-value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestResult {
-    /// The test statistic (D for KS, t for Welch, χ² for chi-square).
+    /// The test statistic (D for KS, t for Welch).
     pub statistic: f64,
     /// Probability of a statistic at least this extreme under H₀ (same
     /// distribution / same mean).
@@ -96,38 +96,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> TestResult {
     TestResult {
         statistic: t,
         p_value: student_t_two_sided_p(t, df),
-    }
-}
-
-/// Chi-square goodness-of-fit between observed counts and expected counts
-/// (scaled to the observed total). Bins with zero expectation after
-/// scaling are pooled into the smoothing floor.
-pub fn chi_square_gof(observed: &[u64], expected: &[f64]) -> TestResult {
-    assert_eq!(
-        observed.len(),
-        expected.len(),
-        "observed/expected length mismatch"
-    );
-    assert!(observed.len() >= 2, "need at least two categories");
-    let total_obs: f64 = observed.iter().map(|&c| c as f64).sum();
-    let total_exp: f64 = expected.iter().sum();
-    if total_obs == 0.0 || total_exp == 0.0 {
-        return TestResult {
-            statistic: f64::NAN,
-            p_value: f64::NAN,
-        };
-    }
-    let scale = total_obs / total_exp;
-    let mut chi2 = 0.0;
-    for (&o, &e) in observed.iter().zip(expected.iter()) {
-        let e = (e * scale).max(1e-9);
-        let d = o as f64 - e;
-        chi2 += d * d / e;
-    }
-    let df = (observed.len() - 1) as f64;
-    TestResult {
-        statistic: chi2,
-        p_value: gamma_q(df / 2.0, chi2 / 2.0),
     }
 }
 
@@ -237,31 +205,6 @@ mod tests {
     #[test]
     fn welch_small_samples_nan() {
         assert!(welch_t_test(&[1.0], &[1.0, 2.0]).statistic.is_nan());
-    }
-
-    #[test]
-    fn chi_square_uniform_fit() {
-        let observed = [100u64, 105, 95, 100];
-        let expected = [1.0, 1.0, 1.0, 1.0];
-        let r = chi_square_gof(&observed, &expected);
-        assert!(!r.significant(0.05), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn chi_square_detects_category_shift() {
-        let observed = [300u64, 50, 25, 25];
-        let expected = [1.0, 1.0, 1.0, 1.0];
-        let r = chi_square_gof(&observed, &expected);
-        assert!(r.significant(1e-6));
-    }
-
-    #[test]
-    fn chi_square_scales_expected() {
-        // Expected given as proportions vs counts must agree.
-        let observed = [30u64, 70];
-        let r1 = chi_square_gof(&observed, &[0.5, 0.5]);
-        let r2 = chi_square_gof(&observed, &[50.0, 50.0]);
-        assert!((r1.statistic - r2.statistic).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Graph algorithms over the lineage DAG: topological ordering, forward
-//! impact sets (what is downstream of a pointer — the query behind §5.3's
-//! deletion propagation), and ancestor sets.
+//! Graph algorithms over the lineage DAG: topological ordering.
 
 use crate::graph::{LineageGraph, RunIdx};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Topological order of run nodes over dependency edges (dependencies
 /// first). Returns `None` if the dependency edges contain a cycle (which
@@ -37,46 +35,6 @@ pub fn topo_order(graph: &LineageGraph) -> Option<Vec<RunIdx>> {
     } else {
         None
     }
-}
-
-/// All runs transitively downstream of an I/O pointer (runs that consumed
-/// it, runs that consumed their outputs, ...). BFS over consumer edges.
-pub fn downstream_runs(graph: &LineageGraph, io_name: &str) -> HashSet<RunIdx> {
-    let mut result = HashSet::new();
-    let Some(start) = graph.io_by_name(io_name) else {
-        return result;
-    };
-    let mut io_queue = VecDeque::from([start]);
-    let mut seen_io = HashSet::from([start]);
-    while let Some(io) = io_queue.pop_front() {
-        for &run in &graph.io_node(io).consumers {
-            if result.insert(run) {
-                for &out in &graph.run(run).outputs {
-                    if seen_io.insert(out) {
-                        io_queue.push_back(out);
-                    }
-                }
-            }
-        }
-    }
-    result
-}
-
-/// All runs transitively upstream of a run (its dependency closure).
-pub fn ancestor_runs(graph: &LineageGraph, run_id: u64) -> HashSet<RunIdx> {
-    let mut result = HashSet::new();
-    let Some(start) = graph.run_by_id(run_id) else {
-        return result;
-    };
-    let mut queue = VecDeque::from([start]);
-    while let Some(r) = queue.pop_front() {
-        for &dep in &graph.run(r).deps {
-            if result.insert(dep) {
-                queue.push_back(dep);
-            }
-        }
-    }
-    result
 }
 
 #[cfg(test)]
@@ -119,33 +77,5 @@ mod tests {
         assert!(pos[0] < pos[1]);
         assert!(pos[1] < pos[2]);
         assert!(pos[2] < pos[3]);
-    }
-
-    #[test]
-    fn downstream_of_source_covers_all() {
-        let g = chain();
-        let down = downstream_runs(&g, "a");
-        assert_eq!(down.len(), 3); // clean, train, infer
-        let down_b = downstream_runs(&g, "b");
-        assert_eq!(down_b.len(), 2); // train, infer
-        assert!(downstream_runs(&g, "p").is_empty());
-        assert!(downstream_runs(&g, "ghost").is_empty());
-    }
-
-    #[test]
-    fn ancestors_of_sink_cover_all() {
-        let g = chain();
-        let up = ancestor_runs(&g, 4);
-        assert_eq!(up.len(), 3);
-        assert!(ancestor_runs(&g, 1).is_empty());
-        assert!(ancestor_runs(&g, 999).is_empty());
-    }
-
-    #[test]
-    fn self_loop_io_does_not_hang_downstream() {
-        let mut g = LineageGraph::new();
-        g.add_run(1, "updater", 10, false, &strs(&["s"]), &strs(&["s"]), &[]);
-        let down = downstream_runs(&g, "s");
-        assert_eq!(down.len(), 1);
     }
 }

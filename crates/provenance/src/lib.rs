@@ -9,14 +9,12 @@
 #![warn(missing_docs)]
 
 pub mod algo;
-pub mod diff;
 pub mod graph;
 pub mod slice;
 pub mod summarize;
 pub mod trace;
 
-pub use algo::{ancestor_runs, downstream_runs, topo_order};
-pub use diff::{diff_snapshots, snapshot, PipelineSnapshot, SnapshotDiff};
+pub use algo::topo_order;
 pub use graph::{IoIdx, IoNode, LineageGraph, RunIdx, RunNode};
 pub use slice::{slice_lineage, RankedRun, SliceReport};
 pub use summarize::{component_summary, most_problematic, ComponentSummary};

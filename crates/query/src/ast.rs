@@ -25,6 +25,18 @@ pub struct Query {
     pub limit: Option<usize>,
 }
 
+impl Query {
+    /// True when the statement aggregates: a GROUP BY, or an aggregate
+    /// function anywhere in the select list.
+    pub fn is_grouped(&self) -> bool {
+        !self.group_by.is_empty()
+            || self
+                .select
+                .iter()
+                .any(|s| matches!(s, SelectItem::Expr { expr, .. } if expr.has_aggregate()))
+    }
+}
+
 /// A table in `FROM`/`JOIN`, with an optional alias. Columns of this
 /// source can be qualified by the alias (or the table name when no alias
 /// was given): `r.component`.
@@ -306,6 +318,16 @@ impl Expr {
         let mut out = Vec::new();
         self.collect_conjuncts(&mut out);
         out
+    }
+
+    /// AND `conjuncts` back together, preserving order — the inverse of
+    /// [`Self::conjuncts`]. `None` for an empty list.
+    pub fn conjoin(conjuncts: impl IntoIterator<Item = Expr>) -> Option<Expr> {
+        conjuncts.into_iter().reduce(|left, right| Expr::Binary {
+            op: BinOp::And,
+            left: Box::new(left),
+            right: Box::new(right),
+        })
     }
 
     fn collect_conjuncts<'a>(&'a self, out: &mut Vec<&'a Expr>) {

@@ -3,18 +3,10 @@
 
 use crate::ast::{AggFunc, BinOp, Expr, Join, JoinKind, Query, ScalarFunc, SelectItem};
 use crate::parser::{parse, ParseError};
-use crate::plan::{
-    choose_run_route, choose_run_route_forced, estimate_candidates, plan_diagnosis_scan,
-    plan_event_scan, plan_metric_scan, plan_run_scan, plan_summary_scan, ScanRoute,
-};
+use crate::plan::{run_route, ScanRoute, SourcePlan};
 use mltrace_store::aggregate::{canonical_row_key, canonical_value_key};
-use mltrace_store::schema::{
-    column_index, run_row, scan, scan_diagnosis_rows, scan_events_rows, scan_metrics_rows,
-    scan_runs_rows, scan_summary_rows, table_schema, Row, Table,
-};
-use mltrace_store::{
-    AggInput, AggPartial, EventFilter, GroupPartial, RunFilter, Store, StoreError, Value,
-};
+use mltrace_store::schema::{column_index, scan, table_schema, Row, Table};
+use mltrace_store::{AggInput, AggPartial, GroupPartial, Store, StoreError, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -208,51 +200,30 @@ fn execute_query_inner(
     // any scan, so both execution paths fail identically.
     validate_query(query, &scope)?;
 
-    let grouped = !query.group_by.is_empty()
-        || query
-            .select
-            .iter()
-            .any(|s| matches!(s, SelectItem::Expr { expr, .. } if expr.has_aggregate()));
+    let grouped = query.is_grouped();
 
-    // Partial-aggregate pushdown: a grouped single-table run query whose
-    // WHERE the run filter fully absorbs folds shard-by-shard inside the
-    // store, so the executor only sees group-count partial states.
-    if pushdown && grouped {
-        if let Some(pplan) = plan_partial_agg(query, &scope) {
+    // Scan each source through its plan: WHERE splits into per-source
+    // pushed-down parts, per-source residuals that filter before the
+    // join, and a residual the executor evaluates on the joined rows.
+    let (mut rows, residual) = if pushdown {
+        let (plans, extra) = plan_sources(query, &scope);
+        // Partial-aggregate pushdown: a grouped single-table run query
+        // whose WHERE the plan fully absorbs folds shard-by-shard inside
+        // the store, so the executor only sees group-count partial states.
+        if let Some(pplan) = plan_partial_agg(query, &scope, &plans) {
             if let Some((columns, out_rows)) =
-                execute_partial_agg(store, query, &scope, &pplan, pref)?
+                execute_partial_agg(store, query, &scope, &plans[0], &pplan, pref)?
             {
                 return finish_rows(store, query, columns, out_rows, &resolve);
             }
         }
-    }
-
-    // Scan each source, splitting WHERE into per-source pushed-down parts
-    // and a residual the executor evaluates on the joined rows.
-    let (mut rows, residual) = if pushdown {
-        let (clauses, extra) = partition_where(query, &scope);
-        // LIMIT can run inside the scan only when nothing downstream can
-        // drop or reorder rows: single source, whole WHERE pushed, no
-        // grouping, DISTINCT, or ORDER BY.
-        let limit0 = if query.joins.is_empty()
-            && extra.is_empty()
-            && !grouped
-            && !query.distinct
-            && query.order_by.is_empty()
-        {
-            query.limit
-        } else {
-            None
-        };
-        let mut per_source: Vec<Vec<Row>> = Vec::with_capacity(scope.sources.len());
-        for (i, src) in scope.sources.iter().enumerate() {
-            let limit = if i == 0 { limit0 } else { None };
-            let (mut rows, local_residual) =
-                scan_source(store, src.table, clauses[i].as_ref(), limit, pref)?;
-            // The planner residual references only this source's columns
+        let mut per_source: Vec<Vec<Row>> = Vec::with_capacity(plans.len());
+        for plan in &plans {
+            let mut rows = plan.scan(store, plan.pushed_limit(query), pref)?;
+            // The plan's residual references only this source's columns
             // (bare names), so it filters before the join.
-            if let Some(res) = &local_residual {
-                let table = src.table;
+            if let Some(res) = &plan.residual {
+                let table = plan.table;
                 let local = |name: &str| -> Result<usize, QueryError> {
                     column_index(table, name)
                         .map_err(|_| QueryError::UnknownColumn(name.to_owned()))
@@ -268,7 +239,7 @@ fn execute_query_inner(
             per_source.push(rows);
         }
         let rows = execute_joins(query, &scope, per_source, true)?;
-        (rows, and_fold(extra))
+        (rows, Expr::conjoin(extra))
     } else {
         let mut per_source: Vec<Vec<Row>> = Vec::with_capacity(scope.sources.len());
         for src in &scope.sources {
@@ -318,17 +289,14 @@ fn finish_rows(
 
     // ORDER BY over output columns first, then table columns (plain mode).
     if !query.order_by.is_empty() {
-        let keys: Vec<(SortKey, bool)> = query
+        let keys: Vec<(usize, bool)> = query
             .order_by
             .iter()
             .map(|(e, desc)| Ok((sort_key(e, &columns, query, resolve)?, *desc)))
             .collect::<Result<_, QueryError>>()?;
         let cmp = |a: &Row, b: &Row| -> Ordering {
             for (key, desc) in &keys {
-                let (va, vb) = match key {
-                    SortKey::Output(i) => (&a[*i], &b[*i]),
-                };
-                let c = va.total_cmp(vb);
+                let c = a[*key].total_cmp(&b[*key]);
                 let c = if *desc { c.reverse() } else { c };
                 if c != Ordering::Equal {
                     return c;
@@ -591,9 +559,9 @@ fn map_columns(e: &Expr, rename: &dyn Fn(&str) -> String) -> Expr {
 }
 
 /// Rewrite every column in `e` to its bare schema name within source
-/// `src`, so the single-table planners (which match unqualified names)
-/// can absorb qualified conjuncts. The caller guarantees every column
-/// resolves into `src`.
+/// `src`, so the planner (which matches unqualified names) can absorb
+/// qualified conjuncts. The caller guarantees every column resolves into
+/// `src`.
 fn strip_qualifiers(e: &Expr, scope: &Scope, src: usize) -> Expr {
     let source = &scope.sources[src];
     map_columns(e, &|c: &str| match scope.resolve(c) {
@@ -602,23 +570,17 @@ fn strip_qualifiers(e: &Expr, scope: &Scope, src: usize) -> Expr {
     })
 }
 
-/// AND the conjuncts back together, preserving order.
-fn and_fold(conjuncts: Vec<Expr>) -> Option<Expr> {
-    conjuncts.into_iter().reduce(|left, right| Expr::Binary {
-        op: BinOp::And,
-        left: Box::new(left),
-        right: Box::new(right),
-    })
-}
-
-/// Partition the WHERE clause's conjuncts among the sources: a conjunct
-/// pushes below the join to source `i` when every column it references
-/// lives in source `i` and that source is never null-padded by a LEFT
-/// join (filtering a padded source pre-join would change which rows get
-/// padding). Column-free conjuncts go to the first source, which is
-/// never padded. Returns the per-source clauses (in bare column names)
-/// plus the residual conjuncts for the joined rows.
-fn partition_where(query: &Query, scope: &Scope) -> (Vec<Option<Expr>>, Vec<Expr>) {
+/// Plan every source once — the plans execution, `EXPLAIN` and the
+/// partial-aggregate check all read. The WHERE clause's conjuncts are
+/// partitioned among the sources: a conjunct pushes below the join to
+/// source `i` when every column it references lives in source `i` and
+/// that source is never null-padded by a LEFT join (filtering a padded
+/// source pre-join would change which rows get padding). Column-free
+/// conjuncts go to the first source, which is never padded. Each source's
+/// conjuncts reach its [`SourcePlan`] in bare column names, so a qualified
+/// spelling plans exactly like the unqualified one. Returns the plans in
+/// FROM/JOIN order plus the residual conjuncts for the joined rows.
+fn plan_sources(query: &Query, scope: &Scope) -> (Vec<SourcePlan>, Vec<Expr>) {
     let mut per_source: Vec<Vec<Expr>> = scope.sources.iter().map(|_| Vec::new()).collect();
     let mut residual = Vec::new();
     if let Some(w) = &query.where_clause {
@@ -637,103 +599,13 @@ fn partition_where(query: &Query, scope: &Scope) -> (Vec<Option<Expr>>, Vec<Expr
             }
         }
     }
-    let clauses = per_source.into_iter().map(and_fold).collect();
-    (clauses, residual)
-}
-
-/// Scan one source table through its pushdown planner. `clause` must use
-/// bare (unqualified) column names; the returned residual (also bare)
-/// still needs evaluating against this source's rows. `limit` caps the
-/// scan only when the planner absorbed the entire clause.
-fn scan_source(
-    store: &dyn Store,
-    table: Table,
-    clause: Option<&Expr>,
-    limit: Option<usize>,
-    pref: RoutePreference,
-) -> Result<(Vec<Row>, Option<Expr>), QueryError> {
-    let tele = store.telemetry();
-    Ok(match table {
-        Table::ComponentRuns => {
-            let plan = plan_run_scan(clause);
-            let limit = if plan.residual.is_none() { limit } else { None };
-            if let Some(t) = tele {
-                if !plan.filter.is_all() {
-                    t.incr("query.pushdown.filters_total");
-                }
-                if limit.is_some() {
-                    t.incr("query.pushdown.limits_total");
-                }
-            }
-            let route = choose_route(store, &plan.filter, pref)?;
-            let rows = match route {
-                ScanRoute::Index(idx) => {
-                    match store.scan_runs_indexed(None, &plan.filter, limit, idx)? {
-                        Some(records) => records.iter().map(run_row).collect(),
-                        // The store declined the route (e.g. no
-                        // indexes behind this trait object after all).
-                        None => scan_runs_rows(store, &plan.filter, limit)?,
-                    }
-                }
-                ScanRoute::FullScan => scan_runs_rows(store, &plan.filter, limit)?,
-            };
-            (rows, plan.residual)
-        }
-        Table::Metrics => {
-            let plan = plan_metric_scan(clause);
-            let limit = if plan.residual.is_none() { limit } else { None };
-            if let Some(t) = tele {
-                if plan.component.is_some() {
-                    t.incr("query.pushdown.filters_total");
-                }
-                if limit.is_some() {
-                    t.incr("query.pushdown.limits_total");
-                }
-            }
-            (
-                scan_metrics_rows(store, plan.component.as_deref(), limit)?,
-                plan.residual,
-            )
-        }
-        Table::Events => {
-            let plan = plan_event_scan(clause);
-            let limit = if plan.residual.is_none() { limit } else { None };
-            if let Some(t) = tele {
-                if !plan.filter.is_all() {
-                    t.incr("query.pushdown.filters_total");
-                }
-                if limit.is_some() {
-                    t.incr("query.pushdown.limits_total");
-                }
-            }
-            (scan_events_rows(store, &plan.filter, limit)?, plan.residual)
-        }
-        Table::Summaries => {
-            let plan = plan_summary_scan(clause);
-            if let Some(t) = tele {
-                if plan.component.is_some() || plan.metric.is_some() {
-                    t.incr("query.pushdown.filters_total");
-                }
-            }
-            (
-                scan_summary_rows(store, plan.component.as_deref(), plan.metric.as_deref())?,
-                plan.residual,
-            )
-        }
-        Table::Diagnoses => {
-            let plan = plan_diagnosis_scan(clause);
-            if let Some(t) = tele {
-                if plan.incident_key.is_some() || plan.suspect.is_some() {
-                    t.incr("query.pushdown.filters_total");
-                }
-            }
-            (
-                scan_diagnosis_rows(store, plan.incident_key.as_deref(), plan.suspect.as_deref())?,
-                plan.residual,
-            )
-        }
-        other => (scan(store, other)?, clause.cloned()),
-    })
+    let plans = scope
+        .sources
+        .iter()
+        .zip(per_source)
+        .map(|(src, conjuncts)| SourcePlan::new(src.table, conjuncts))
+        .collect();
+    (plans, residual)
 }
 
 /// Fold the per-source row sets left to right through the join chain.
@@ -926,27 +798,22 @@ fn join_rows(
 
 /// A grouped run query decomposed into store-side partial-aggregate
 /// form: schema column indices for the group key and one [`AggInput`]
-/// per collected aggregate expression.
+/// per collected aggregate expression. The filter is the source's plan.
 struct PartialAggPlan {
-    filter: RunFilter,
     group_cols: Vec<usize>,
     agg_inputs: Vec<AggInput>,
     agg_exprs: Vec<(AggFunc, Option<Expr>)>,
 }
 
-/// Decide whether a grouped query can run as a store-side partial
-/// aggregate: a single `component_runs` source, a WHERE the run filter
-/// absorbs completely, plain-column GROUP BY keys, and plain-column (or
-/// `*`) aggregate arguments. Anything else falls back to the row scan.
-fn plan_partial_agg(query: &Query, scope: &Scope) -> Option<PartialAggPlan> {
-    let [source] = &scope.sources[..] else {
+/// Decide whether a statement can run as a store-side partial aggregate:
+/// grouped, a single `component_runs` source whose plan absorbed the whole
+/// WHERE, plain-column GROUP BY keys, and plain-column (or `*`) aggregate
+/// arguments. Anything else falls back to the row scan.
+fn plan_partial_agg(query: &Query, scope: &Scope, plans: &[SourcePlan]) -> Option<PartialAggPlan> {
+    let [plan] = plans else {
         return None;
     };
-    if source.table != Table::ComponentRuns {
-        return None;
-    }
-    let plan = plan_run_scan(query.where_clause.as_ref());
-    if plan.residual.is_some() {
+    if !query.is_grouped() || plan.table != Table::ComponentRuns || plan.residual.is_some() {
         return None;
     }
     let mut agg_exprs: Vec<(AggFunc, Option<Expr>)> = Vec::new();
@@ -971,7 +838,6 @@ fn plan_partial_agg(query: &Query, scope: &Scope) -> Option<PartialAggPlan> {
         group_cols.push(scope.resolve(g).ok()?);
     }
     Some(PartialAggPlan {
-        filter: plan.filter,
         group_cols,
         agg_inputs,
         agg_exprs,
@@ -991,21 +857,23 @@ fn execute_partial_agg(
     store: &dyn Store,
     query: &Query,
     scope: &Scope,
+    source: &SourcePlan,
     plan: &PartialAggPlan,
     pref: RoutePreference,
 ) -> Result<Option<NamedRows>, QueryError> {
-    let route = match choose_route(store, &plan.filter, pref)? {
+    let filter = source.run_filter();
+    let route = match run_route(store, &filter, pref)? {
         ScanRoute::Index(r) => Some(r),
         ScanRoute::FullScan => None,
     };
     let Some(partials) =
-        store.scan_runs_grouped(&plan.filter, route, &plan.group_cols, &plan.agg_inputs)?
+        store.scan_runs_grouped(&filter, route, &plan.group_cols, &plan.agg_inputs)?
     else {
         return Ok(None);
     };
     if let Some(t) = store.telemetry() {
         t.incr("query.pushdown.aggregates_total");
-        if !plan.filter.is_all() {
+        if !source.is_all() {
             t.incr("query.pushdown.filters_total");
         }
     }
@@ -1035,40 +903,17 @@ fn execute_partial_agg(
     .map(Some)
 }
 
-/// Resolve the run-scan route for one query: the preference picks the
-/// policy, the store's index stats feed the estimate. Stores without
-/// secondary indexes always scan.
-fn choose_route(
-    store: &dyn Store,
-    filter: &RunFilter,
-    pref: RoutePreference,
-) -> Result<ScanRoute, QueryError> {
-    if pref == RoutePreference::ForceScan {
-        return Ok(ScanRoute::FullScan);
-    }
-    Ok(match store.index_stats()? {
-        Some(stats) if pref == RoutePreference::ForceIndex => {
-            choose_run_route_forced(filter, &stats)
-        }
-        Some(stats) => choose_run_route(filter, &stats),
-        None => ScanRoute::FullScan,
-    })
-}
-
 /// `EXPLAIN <select>`: plan the statement without scanning and return the
 /// decisions as `property`/`value` rows — chosen route, pushed conjuncts,
 /// residual size, limit pushdown, and (for cold event reads) how many
-/// sealed WAL segments the zone maps would prune.
+/// sealed WAL segments the zone maps would prune. Every line is read off
+/// the same [`SourcePlan`]s execution scans with.
 pub fn explain_query(store: &dyn Store, query: &Query) -> Result<QueryResult, QueryError> {
     let scope = Scope::build(query)?;
     // Surface the same up-front errors a real execution would.
     validate_query(query, &scope)?;
+    let (plans, extra) = plan_sources(query, &scope);
 
-    let grouped = !query.group_by.is_empty()
-        || query
-            .select
-            .iter()
-            .any(|s| matches!(s, SelectItem::Expr { expr, .. } if expr.has_aggregate()));
     let table_prop = std::iter::once(&query.from)
         .chain(query.joins.iter().map(|j| &j.table))
         .map(|t| t.name.to_lowercase())
@@ -1077,200 +922,68 @@ pub fn explain_query(store: &dyn Store, query: &Query) -> Result<QueryResult, Qu
     let mut props: Vec<(String, String)> = vec![("table".to_owned(), table_prop)];
     let mut push = |k: &str, v: String| props.push((k.to_owned(), v));
 
-    // Mirrors `limit_pushable` in the executor.
-    let pushed_limit = |residual: &Option<Expr>| -> Option<usize> {
-        if residual.is_none() && !grouped && !query.distinct && query.order_by.is_empty() {
-            query.limit
-        } else {
-            None
-        }
-    };
-    let limit_prop = |l: Option<usize>| match l {
-        Some(n) => format!("{n}"),
-        None => "none".to_owned(),
-    };
-
     if !query.joins.is_empty() {
         // Join plan: per-source pushed filters, then one line per join
-        // with its strategy inputs. Residuals count every conjunct the
-        // executor still evaluates above the scans.
-        let (clauses, extra) = partition_where(query, &scope);
-        let mut residual_total = extra.len();
-        let mut all_hash = true;
-        let mut source_props: Vec<(String, String)> = Vec::new();
-        for (i, src) in scope.sources.iter().enumerate() {
-            let (desc, residual) = describe_source_plan(src.table, clauses[i].as_ref());
-            residual_total += residual;
-            source_props.push((format!("pushed_filter_{}", src.label), desc));
-        }
-        let mut join_props: Vec<(String, String)> = Vec::new();
-        for (i, join) in query.joins.iter().enumerate() {
-            let equi = join
-                .on
-                .conjuncts()
-                .iter()
-                .filter(|c| split_equi(c, &scope, i + 1).is_some())
-                .count();
-            if equi == 0 {
-                all_hash = false;
-            }
-            let kind = match join.kind {
-                JoinKind::Inner => "inner",
-                JoinKind::Left => "left",
-            };
-            let est =
-                estimate_source_rows(store, scope.sources[i + 1].table, clauses[i + 1].as_ref())?;
-            join_props.push((
-                format!("join_{}", i + 1),
-                format!(
-                    "{kind} {label} equi_keys={equi} right_rows_est={est}",
-                    label = scope.sources[i + 1].label
-                ),
-            ));
-        }
+        // with its strategy inputs.
+        let equi_keys: Vec<usize> = (query.joins.iter().enumerate())
+            .map(|(i, join)| {
+                let on = join.on.conjuncts();
+                on.iter()
+                    .filter(|c| split_equi(c, &scope, i + 1).is_some())
+                    .count()
+            })
+            .collect();
+        let all_hash = equi_keys.iter().all(|&n| n > 0);
         push(
             "route",
             if all_hash { "hash-join" } else { "nested-loop" }.to_owned(),
         );
-        props.extend(source_props);
-        props.extend(join_props);
-        props.push(("residual_conjuncts".to_owned(), residual_total.to_string()));
-        props.push(("pushed_limit".to_owned(), "none".to_owned()));
-        return Ok(QueryResult {
-            columns: vec!["property".to_owned(), "value".to_owned()],
-            rows: props
-                .into_iter()
-                .map(|(k, v)| vec![Value::from(k), Value::from(v)])
-                .collect(),
-        });
-    }
-
-    let table = scope.sources[0].table;
-
-    // Partial-aggregate pushdown: a plannable grouped run query routes
-    // through the store-side fold, so EXPLAIN reports the aggregate
-    // route plus a group-count estimate instead of the row-scan shape.
-    if grouped {
-        if let Some(pplan) = plan_partial_agg(query, &scope) {
-            let route = choose_route(store, &pplan.filter, RoutePreference::Auto)?;
-            push("route", format!("partial-agg({})", route.describe()));
-            push("pushed_filter", describe_run_filter(&pplan.filter));
-            push("groups_est", estimate_groups(store, &pplan.group_cols)?);
-            push("aggregates", pplan.agg_inputs.len().to_string());
-            push("residual_conjuncts", "0".to_owned());
-            push("pushed_limit", "none".to_owned());
-            return Ok(QueryResult {
-                columns: vec!["property".to_owned(), "value".to_owned()],
-                rows: props
-                    .into_iter()
-                    .map(|(k, v)| vec![Value::from(k), Value::from(v)])
-                    .collect(),
-            });
+        for (src, plan) in scope.sources.iter().zip(&plans) {
+            push(&format!("pushed_filter_{}", src.label), plan.describe());
         }
-    }
-
-    match table {
-        Table::ComponentRuns => {
-            let plan = plan_run_scan(query.where_clause.as_ref());
-            let route = choose_route(store, &plan.filter, RoutePreference::Auto)?;
-            push("route", route.describe());
-            push("pushed_filter", describe_run_filter(&plan.filter));
-            push(
-                "residual_conjuncts",
-                conjunct_count(plan.residual.as_ref()).to_string(),
-            );
-            push("pushed_limit", limit_prop(pushed_limit(&plan.residual)));
-        }
-        Table::Metrics => {
-            let plan = plan_metric_scan(query.where_clause.as_ref());
-            push("route", "scan".to_owned());
-            push(
-                "pushed_filter",
-                match &plan.component {
-                    Some(c) => format!("component={c}"),
-                    None => "all".to_owned(),
-                },
-            );
-            push(
-                "residual_conjuncts",
-                conjunct_count(plan.residual.as_ref()).to_string(),
-            );
-            push("pushed_limit", limit_prop(pushed_limit(&plan.residual)));
-        }
-        Table::Events => {
-            let plan = plan_event_scan(query.where_clause.as_ref());
-            let route = if plan.filter.kind.is_some() && store.index_stats()?.is_some() {
-                "index(event_kind)".to_owned()
-            } else {
-                "scan".to_owned()
+        for (i, join) in query.joins.iter().enumerate() {
+            let kind = match join.kind {
+                JoinKind::Inner => "inner",
+                JoinKind::Left => "left",
             };
-            push("route", route);
-            push("pushed_filter", describe_event_filter(&plan.filter));
             push(
-                "residual_conjuncts",
-                conjunct_count(plan.residual.as_ref()).to_string(),
+                &format!("join_{}", i + 1),
+                format!(
+                    "{kind} {label} equi_keys={equi} right_rows_est={est}",
+                    label = scope.sources[i + 1].label,
+                    equi = equi_keys[i],
+                    est = plans[i + 1].estimate_rows(store)?,
+                ),
             );
-            push("pushed_limit", limit_prop(pushed_limit(&plan.residual)));
-            if let Some((pruned, total)) = store.prunable_segments(&plan.filter)? {
-                push("prunable_segments", format!("{pruned} of {total}"));
-            }
         }
-        Table::Summaries => {
-            let plan = plan_summary_scan(query.where_clause.as_ref());
-            push("route", "monitor-plane".to_owned());
-            let mut parts = Vec::new();
-            if let Some(c) = &plan.component {
-                parts.push(format!("component={c}"));
-            }
-            if let Some(m) = &plan.metric {
-                parts.push(format!("metric={m}"));
-            }
-            push(
-                "pushed_filter",
-                if parts.is_empty() {
-                    "all".to_owned()
-                } else {
-                    parts.join(", ")
-                },
-            );
-            push(
-                "residual_conjuncts",
-                conjunct_count(plan.residual.as_ref()).to_string(),
-            );
-            push("pushed_limit", "none".to_owned());
-        }
-        Table::Diagnoses => {
-            let plan = plan_diagnosis_scan(query.where_clause.as_ref());
-            push("route", "diagnosis-store".to_owned());
-            let mut parts = Vec::new();
-            if let Some(k) = &plan.incident_key {
-                parts.push(format!("incident_key={k}"));
-            }
-            if let Some(s) = &plan.suspect {
-                parts.push(format!("suspect={s}"));
-            }
-            push(
-                "pushed_filter",
-                if parts.is_empty() {
-                    "all".to_owned()
-                } else {
-                    parts.join(", ")
-                },
-            );
-            push(
-                "residual_conjuncts",
-                conjunct_count(plan.residual.as_ref()).to_string(),
-            );
-            push("pushed_limit", "none".to_owned());
-        }
-        _ => {
-            push("route", "scan".to_owned());
-            push("pushed_filter", "none".to_owned());
-            push(
-                "residual_conjuncts",
-                conjunct_count(query.where_clause.as_ref()).to_string(),
-            );
-            push("pushed_limit", "none".to_owned());
+    } else if let Some(pplan) = plan_partial_agg(query, &scope, &plans) {
+        // The store-side fold: the aggregate route plus a group-count
+        // estimate instead of the row-scan shape.
+        let route = plans[0].route(store, RoutePreference::Auto)?;
+        push("route", format!("partial-agg({route})"));
+        push("pushed_filter", plans[0].describe());
+        push("groups_est", estimate_groups(store, &pplan.group_cols)?);
+        push("aggregates", pplan.agg_inputs.len().to_string());
+    } else {
+        push("route", plans[0].route(store, RoutePreference::Auto)?);
+        push("pushed_filter", plans[0].describe());
+    }
+    // Residuals count every conjunct the executor still evaluates above
+    // the scans: per-source leftovers plus the cross-source ones.
+    let residuals = |e: &Option<Expr>| e.as_ref().map_or(0, |e| e.conjuncts().len());
+    let residual_total: usize =
+        extra.len() + plans.iter().map(|p| residuals(&p.residual)).sum::<usize>();
+    push("residual_conjuncts", residual_total.to_string());
+    push(
+        "pushed_limit",
+        match plans[0].pushed_limit(query) {
+            Some(n) => n.to_string(),
+            None => "none".to_owned(),
+        },
+    );
+    if query.joins.is_empty() {
+        if let Some((pruned, total)) = plans[0].prunable_segments(store)? {
+            push("prunable_segments", format!("{pruned} of {total}"));
         }
     }
 
@@ -1280,101 +993,6 @@ pub fn explain_query(store: &dyn Store, query: &Query) -> Result<QueryResult, Qu
             .into_iter()
             .map(|(k, v)| vec![Value::from(k), Value::from(v)])
             .collect(),
-    })
-}
-
-/// Per-source EXPLAIN line for a join plan: the pushed-down filter
-/// description plus the conjuncts the planner left as a local residual.
-fn describe_source_plan(table: Table, clause: Option<&Expr>) -> (String, usize) {
-    match table {
-        Table::ComponentRuns => {
-            let plan = plan_run_scan(clause);
-            (
-                describe_run_filter(&plan.filter),
-                conjunct_count(plan.residual.as_ref()),
-            )
-        }
-        Table::Metrics => {
-            let plan = plan_metric_scan(clause);
-            let desc = match &plan.component {
-                Some(c) => format!("component={c}"),
-                None => "all".to_owned(),
-            };
-            (desc, conjunct_count(plan.residual.as_ref()))
-        }
-        Table::Events => {
-            let plan = plan_event_scan(clause);
-            (
-                describe_event_filter(&plan.filter),
-                conjunct_count(plan.residual.as_ref()),
-            )
-        }
-        Table::Summaries => {
-            let plan = plan_summary_scan(clause);
-            let mut parts = Vec::new();
-            if let Some(c) = &plan.component {
-                parts.push(format!("component={c}"));
-            }
-            if let Some(m) = &plan.metric {
-                parts.push(format!("metric={m}"));
-            }
-            let desc = if parts.is_empty() {
-                "all".to_owned()
-            } else {
-                parts.join(", ")
-            };
-            (desc, conjunct_count(plan.residual.as_ref()))
-        }
-        Table::Diagnoses => {
-            let plan = plan_diagnosis_scan(clause);
-            let mut parts = Vec::new();
-            if let Some(k) = &plan.incident_key {
-                parts.push(format!("incident_key={k}"));
-            }
-            if let Some(s) = &plan.suspect {
-                parts.push(format!("suspect={s}"));
-            }
-            let desc = if parts.is_empty() {
-                "all".to_owned()
-            } else {
-                parts.join(", ")
-            };
-            (desc, conjunct_count(plan.residual.as_ref()))
-        }
-        _ => ("none".to_owned(), conjunct_count(clause)),
-    }
-}
-
-/// Row-count estimate for one join source after its pushed filter, used
-/// to pick (and report) the hash-join build side. Runs reuse the index
-/// selectivity estimates; other tables fall back to their total counts.
-fn estimate_source_rows(
-    store: &dyn Store,
-    table: Table,
-    clause: Option<&Expr>,
-) -> Result<String, QueryError> {
-    let stats = store.stats()?;
-    Ok(match table {
-        Table::ComponentRuns => {
-            let plan = plan_run_scan(clause);
-            match store.index_stats()? {
-                Some(idx) => match choose_run_route_forced(&plan.filter, &idx) {
-                    ScanRoute::Index(route) => {
-                        estimate_candidates(route, &plan.filter, &idx).to_string()
-                    }
-                    ScanRoute::FullScan => idx.runs.to_string(),
-                },
-                None => stats.runs.to_string(),
-            }
-        }
-        Table::Metrics => stats.metric_points.to_string(),
-        Table::Events => stats.events.to_string(),
-        Table::Incidents => stats.incidents.to_string(),
-        Table::Components => stats.components.to_string(),
-        Table::IoPointers => stats.io_pointers.to_string(),
-        Table::Rollups => stats.summaries.to_string(),
-        Table::Summaries => "unknown".to_owned(),
-        Table::Diagnoses => stats.diagnoses.to_string(),
     })
 }
 
@@ -1393,71 +1011,6 @@ fn estimate_groups(store: &dyn Store, group_cols: &[usize]) -> Result<String, Qu
         [c] if *c == component => Ok(stats.distinct_components.to_string()),
         [c] if *c == status => Ok(stats.distinct_statuses.to_string()),
         _ => Ok("unknown".to_owned()),
-    }
-}
-
-/// Count the top-level AND conjuncts of a residual WHERE expression.
-fn conjunct_count(e: Option<&Expr>) -> usize {
-    fn walk(e: &Expr) -> usize {
-        match e {
-            Expr::Binary {
-                op: BinOp::And,
-                left,
-                right,
-            } => walk(left) + walk(right),
-            _ => 1,
-        }
-    }
-    e.map_or(0, walk)
-}
-
-/// Human-readable rendering of the pushed-down run filter bounds.
-fn describe_run_filter(f: &RunFilter) -> String {
-    if f.is_all() {
-        return "all".to_owned();
-    }
-    let mut parts = Vec::new();
-    if let Some(c) = &f.component {
-        parts.push(format!("component={c}"));
-    }
-    if let Some(s) = &f.status {
-        parts.push(format!("status={}", s.name()));
-    }
-    bound(&mut parts, "id", f.min_id, f.max_id);
-    bound(&mut parts, "start_ms", f.min_start_ms, f.max_start_ms);
-    bound(&mut parts, "end_ms", f.min_end_ms, f.max_end_ms);
-    parts.join(", ")
-}
-
-/// Human-readable rendering of the pushed-down event filter bounds.
-fn describe_event_filter(f: &EventFilter) -> String {
-    if f.is_all() {
-        return "all".to_owned();
-    }
-    let mut parts = Vec::new();
-    if let Some(k) = &f.kind {
-        parts.push(format!("kind={}", k.name()));
-    }
-    if let Some(s) = &f.severity {
-        parts.push(format!("severity={}", s.name()));
-    }
-    if let Some(c) = &f.component {
-        parts.push(format!("component={c}"));
-    }
-    if let Some(r) = &f.run_id {
-        parts.push(format!("run_id={r}"));
-    }
-    bound(&mut parts, "id", f.min_id, f.max_id);
-    bound(&mut parts, "ts_ms", f.min_ts_ms, f.max_ts_ms);
-    parts.join(", ")
-}
-
-fn bound(parts: &mut Vec<String>, name: &str, lo: Option<u64>, hi: Option<u64>) {
-    match (lo, hi) {
-        (Some(l), Some(h)) => parts.push(format!("{name} in [{l}, {h}]")),
-        (Some(l), None) => parts.push(format!("{name} >= {l}")),
-        (None, Some(h)) => parts.push(format!("{name} <= {h}")),
-        (None, None) => {}
     }
 }
 
@@ -1489,27 +1042,23 @@ fn top_k<F: Fn(&Row, &Row) -> Ordering>(rows: &mut Vec<Row>, k: usize, cmp: F) {
     rows.extend(buf.into_iter().map(|(_, r)| r));
 }
 
-enum SortKey {
-    /// Index into the projected output row.
-    Output(usize),
-}
-
+/// Resolve an ORDER BY expression to its index in the projected output row.
 fn sort_key(
     e: &Expr,
     columns: &[String],
     query: &Query,
     resolve: &dyn Fn(&str) -> Result<usize, QueryError>,
-) -> Result<SortKey, QueryError> {
+) -> Result<usize, QueryError> {
     // Match by alias / default name of a projected column.
     let name = e.default_name();
     if let Some(i) = columns.iter().position(|c| c.eq_ignore_ascii_case(&name)) {
-        return Ok(SortKey::Output(i));
+        return Ok(i);
     }
     // Match a projected expression structurally.
     for (i, item) in query.select.iter().enumerate() {
         if let SelectItem::Expr { expr, .. } = item {
             if expr == e {
-                return Ok(SortKey::Output(i));
+                return Ok(i);
             }
         }
     }
@@ -1517,7 +1066,7 @@ fn sort_key(
     if query.select == vec![SelectItem::Wildcard] {
         if let Expr::Column(c) = e {
             let i = resolve(c)?;
-            return Ok(SortKey::Output(i));
+            return Ok(i);
         }
     }
     Err(QueryError::Semantic(format!(

@@ -38,9 +38,6 @@ pub use exec::{
     QueryError, QueryResult, RoutePreference,
 };
 pub use parser::{parse, parse_with_params, ParseError};
-pub use plan::{
-    choose_run_route, choose_run_route_forced, plan_diagnosis_scan, plan_metric_scan,
-    plan_run_scan, DiagnosisScanPlan, MetricScanPlan, RunScanPlan, ScanRoute,
-};
+pub use plan::{choose_run_route, choose_run_route_forced, ScanRoute};
 pub use prepare::{execute_prepared, prepare, PreparedQuery};
 pub use token::{tokenize, LexError, Symbol, Token};

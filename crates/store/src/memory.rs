@@ -351,6 +351,15 @@ fn drift_incident_record(inc: &Incident, now_ms: u64) -> IncidentRecord {
     }
 }
 
+/// Bucket run ids by the shard holding each, preserving their order.
+fn bucket_by_shard(ids: &[RunId]) -> Vec<Vec<u64>> {
+    let mut per_shard: Vec<Vec<u64>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
+    for id in ids {
+        per_shard[run_shard(id.0)].push(id.0);
+    }
+    per_shard
+}
+
 fn shard_vec<T: Default>() -> Box<[RwLock<T>]> {
     (0..SHARD_COUNT)
         .map(|_| RwLock::new(T::default()))
@@ -725,16 +734,7 @@ impl MemoryStore {
     /// scalar ingest path and WAL replay (`restore_run`), so replayed
     /// indexes are rebuilt by construction.
     fn index_run(&self, id: RunId, run: &ComponentRunRecord) {
-        let (component, inputs, outputs) = (&run.component, &run.inputs, &run.outputs);
-        {
-            let mut g = self.write_shard(&self.by_component[name_shard(component)]);
-            match g.get_mut(component.as_str()) {
-                Some(list) => insert_sorted(list, id),
-                None => {
-                    g.insert(component.to_owned(), vec![id]);
-                }
-            }
-        }
+        self.index_name(&self.by_component, &run.component, id);
         {
             let mut g = self.write_shard(&self.by_start);
             insert_sorted(g.entry(run.start_ms).or_default(), id);
@@ -745,48 +745,97 @@ impl MemoryStore {
         }
         // A run may legitimately list the same pointer twice (e.g. a file
         // read in two roles); `insert_sorted` indexes it once per run.
-        for io in outputs {
-            let mut g = self.write_shard(&self.producers[name_shard(io)]);
-            match g.get_mut(io.as_str()) {
-                Some(list) => insert_sorted(list, id),
-                None => {
-                    g.insert(io.clone(), vec![id]);
-                }
-            }
+        for io in &run.outputs {
+            self.index_name(&self.producers, io, id);
         }
-        for io in inputs {
-            let mut g = self.write_shard(&self.consumers[name_shard(io)]);
-            match g.get_mut(io.as_str()) {
-                Some(list) => insert_sorted(list, id),
-                None => {
-                    g.insert(io.clone(), vec![id]);
-                }
+        for io in &run.inputs {
+            self.index_name(&self.consumers, io, id);
+        }
+    }
+
+    /// Add `id` to the ascending id list a sharded name index keeps under
+    /// `name`, under that shard's write lock.
+    fn index_name(&self, shards: &[IdIndexShard], name: &str, id: RunId) {
+        let mut g = self.write_shard(&shards[name_shard(name)]);
+        match g.get_mut(name) {
+            Some(list) => insert_sorted(list, id),
+            None => {
+                g.insert(name.to_owned(), vec![id]);
             }
         }
     }
 
-    /// Ids of runs past `since` that match `filter`, ascending, evaluated
-    /// against borrowed records under one read lock per shard — the
-    /// clone-free phase A of limited and chunked scans. Also counts the
-    /// records examined into the scan telemetry.
-    fn matching_run_ids(&self, since: Option<RunId>, filter: &RunFilter) -> Vec<RunId> {
-        let mut ids = Vec::new();
-        let mut scanned = 0u64;
-        for shard in self.run_shards.iter() {
-            let g = shard.read();
-            self.tele.scan_locks.incr();
-            for (&id, run) in g.iter() {
-                if since.is_some_and(|s| id <= s.0) {
-                    continue;
-                }
-                scanned += 1;
-                if filter.matches(run) {
-                    ids.push(RunId(id));
-                }
-            }
+    /// The one loop every run scan shares: under shard `si`'s read lock,
+    /// hand `hit` each record past `since` that matches `filter` — looked
+    /// up from `candidates` when an index narrowed them (none: the shard is
+    /// skipped, lock untaken), else every record. Returns how many records
+    /// were examined.
+    fn visit_shard(
+        &self,
+        si: usize,
+        candidates: Option<&[u64]>,
+        since: Option<RunId>,
+        filter: &RunFilter,
+        mut hit: impl FnMut(&ComponentRunRecord),
+    ) -> u64 {
+        if candidates.is_some_and(<[u64]>::is_empty) {
+            return 0;
         }
-        ids.sort_unstable();
+        let g = self.run_shards[si].read();
+        self.tele.scan_locks.incr();
+        let mut examined = 0u64;
+        // A candidate deleted since the index was read is examined but no
+        // longer there to match.
+        let mut visit = |id: u64, run: Option<&ComponentRunRecord>| {
+            if since.is_some_and(|s| id <= s.0) {
+                return;
+            }
+            examined += 1;
+            if let Some(run) = run.filter(|r| filter.matches(r)) {
+                hit(run);
+            }
+        };
+        match candidates {
+            Some(ids) => ids.iter().for_each(|id| visit(*id, g.get(id))),
+            None => g.iter().for_each(|(id, run)| visit(*id, Some(run))),
+        }
+        examined
+    }
+
+    /// Walk the shards on the calling thread, handing `hit` (in no
+    /// particular order) every run past `since` that matches `filter`, and
+    /// count the records examined into the scan telemetry. `route` (which
+    /// must be `applicable`) narrows the walk to that index's candidates.
+    fn visit_runs(
+        &self,
+        since: Option<RunId>,
+        filter: &RunFilter,
+        route: Option<IndexRoute>,
+        mut hit: impl FnMut(&ComponentRunRecord),
+    ) {
+        let routed = route.map(|r| bucket_by_shard(&self.route_candidates(filter, r)));
+        let mut scanned = 0u64;
+        for si in 0..SHARD_COUNT {
+            let candidates = routed.as_ref().map(|per_shard| &per_shard[si][..]);
+            scanned += self.visit_shard(si, candidates, since, filter, &mut hit);
+        }
         self.tele.rows_scanned.add(scanned);
+    }
+
+    /// The first `limit` ids (ascending) of runs past `since` that match
+    /// `filter`, evaluated against borrowed records — the clone-free phase
+    /// A of limited, chunked and index-routed scans.
+    fn matching_run_ids(
+        &self,
+        since: Option<RunId>,
+        filter: &RunFilter,
+        route: Option<IndexRoute>,
+        limit: Option<usize>,
+    ) -> Vec<RunId> {
+        let mut ids = Vec::new();
+        self.visit_runs(since, filter, route, |run| ids.push(run.id));
+        ids.sort_unstable();
+        ids.truncate(limit.unwrap_or(usize::MAX));
         ids
     }
 
@@ -795,22 +844,10 @@ impl MemoryStore {
     /// chunked scans. Ids deleted since phase A are skipped; the output
     /// stays ascending by id.
     fn fetch_runs_sorted(&self, ids: &[RunId]) -> Vec<ComponentRunRecord> {
-        let mut per_shard: Vec<Vec<u64>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for id in ids {
-            per_shard[run_shard(id.0)].push(id.0);
-        }
         let mut out = Vec::with_capacity(ids.len());
-        for (si, shard_ids) in per_shard.into_iter().enumerate() {
-            if shard_ids.is_empty() {
-                continue;
-            }
-            let g = self.run_shards[si].read();
-            self.tele.scan_locks.incr();
-            for id in shard_ids {
-                if let Some(run) = g.get(&id) {
-                    out.push(run.clone());
-                }
-            }
+        let all = RunFilter::all();
+        for (si, shard_ids) in bucket_by_shard(ids).iter().enumerate() {
+            self.visit_shard(si, Some(shard_ids), None, &all, |run| out.push(run.clone()));
         }
         out.sort_unstable_by_key(|r| r.id);
         out
@@ -860,11 +897,8 @@ impl MemoryStore {
                     .max_id
                     .unwrap_or(u64::MAX)
                     .min(next.saturating_sub(1));
-                if lo > hi {
-                    Vec::new()
-                } else {
-                    (lo..=hi).map(RunId).collect()
-                }
+                // An infeasible range (`lo > hi`) is empty.
+                (lo..=hi).map(RunId).collect()
             }
         }
     }
@@ -1094,33 +1128,15 @@ impl Store for MemoryStore {
     ) -> Result<Vec<ComponentRunRecord>> {
         let out = match limit {
             Some(0) => Vec::new(),
-            Some(cap) => {
-                // Two phases: find matching ids without cloning, then clone
-                // only the first `cap` — a selective or limited scan clones
-                // min(matches, cap) records instead of every match.
-                let mut ids = self.matching_run_ids(since, filter);
-                ids.truncate(cap);
-                self.fetch_runs_sorted(&ids)
-            }
+            // Two phases: find matching ids without cloning, then clone
+            // only the first `limit` — a selective or limited scan clones
+            // min(matches, limit) records instead of every match.
+            Some(_) => self.fetch_runs_sorted(&self.matching_run_ids(since, filter, None, limit)),
             None => {
                 // Single pass: filter under the shard lock, clone matches.
                 let mut out = Vec::new();
-                let mut scanned = 0u64;
-                for shard in self.run_shards.iter() {
-                    let g = shard.read();
-                    self.tele.scan_locks.incr();
-                    for (&id, run) in g.iter() {
-                        if since.is_some_and(|s| id <= s.0) {
-                            continue;
-                        }
-                        scanned += 1;
-                        if filter.matches(run) {
-                            out.push(run.clone());
-                        }
-                    }
-                }
+                self.visit_runs(since, filter, None, |run| out.push(run.clone()));
                 out.sort_unstable_by_key(|r| r.id);
-                self.tele.rows_scanned.add(scanned);
                 out
             }
         };
@@ -1139,7 +1155,7 @@ impl Store for MemoryStore {
         // Resolve the matching ids once (the trait default would rescan
         // every shard per chunk), then clone one chunk at a time so peak
         // memory is bounded by `chunk_size` regardless of match count.
-        let ids = self.matching_run_ids(since, filter);
+        let ids = self.matching_run_ids(since, filter, None, None);
         for chunk_ids in ids.chunks(chunk_size) {
             let batch = self.fetch_runs_sorted(chunk_ids);
             if batch.is_empty() {
@@ -1164,39 +1180,7 @@ impl Store for MemoryStore {
             self.tele.index_misses.incr();
             return Ok(None);
         }
-        let mut candidates = self.route_candidates(filter, route);
-        if let Some(s) = since {
-            let pos = candidates.partition_point(|&id| id <= s);
-            candidates.drain(..pos);
-        }
-        let examined = candidates.len() as u64;
-        // Phase B: evaluate the full filter against borrowed records,
-        // grouping candidates so each touched shard's lock is taken once.
-        let mut per_shard: Vec<Vec<u64>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-        for id in &candidates {
-            per_shard[run_shard(id.0)].push(id.0);
-        }
-        let mut ids = Vec::new();
-        for (si, shard_ids) in per_shard.into_iter().enumerate() {
-            if shard_ids.is_empty() {
-                continue;
-            }
-            let g = self.run_shards[si].read();
-            self.tele.scan_locks.incr();
-            for id in shard_ids {
-                if let Some(run) = g.get(&id) {
-                    if filter.matches(run) {
-                        ids.push(RunId(id));
-                    }
-                }
-            }
-        }
-        ids.sort_unstable();
-        if let Some(cap) = limit {
-            ids.truncate(cap);
-        }
-        let out = self.fetch_runs_sorted(&ids);
-        self.tele.rows_scanned.add(examined);
+        let out = self.fetch_runs_sorted(&self.matching_run_ids(since, filter, Some(route), limit));
         self.tele.rows_returned.add(out.len() as u64);
         self.tele.index_hits.incr();
         Ok(Some(out))
@@ -1210,17 +1194,11 @@ impl Store for MemoryStore {
         aggs: &[AggInput],
     ) -> Result<Option<Vec<GroupPartial>>> {
         // Per-shard work list: candidate ids from the routed index when
-        // one applies (the grouped analogue of `scan_runs_indexed` phase
-        // A), else every record in the shard.
+        // one applies, else (`None`) every record in the shard.
         let routed: Option<Vec<Vec<u64>>> = match route {
             Some(r) if r.applicable(filter) => {
-                let candidates = self.route_candidates(filter, r);
-                let mut per_shard: Vec<Vec<u64>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-                for id in candidates {
-                    per_shard[run_shard(id.0)].push(id.0);
-                }
                 self.tele.index_hits.incr();
-                Some(per_shard)
+                Some(bucket_by_shard(&self.route_candidates(filter, r)))
             }
             Some(_) => {
                 self.tele.index_misses.incr();
@@ -1237,7 +1215,6 @@ impl Store for MemoryStore {
         let next_shard = AtomicUsize::new(0);
         let mut merged: HashMap<String, GroupPartial> = HashMap::new();
         let mut scanned = 0u64;
-        let mut locks = 0u64;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -1246,51 +1223,23 @@ impl Store for MemoryStore {
                     s.spawn(move || {
                         let mut local: HashMap<String, GroupPartial> = HashMap::new();
                         let mut scanned = 0u64;
-                        let mut locks = 0u64;
                         loop {
                             let si = next_shard.fetch_add(1, Ordering::Relaxed);
                             if si >= SHARD_COUNT {
                                 break;
                             }
-                            match routed {
-                                Some(per_shard) => {
-                                    let ids = &per_shard[si];
-                                    if ids.is_empty() {
-                                        continue;
-                                    }
-                                    let g = self.run_shards[si].read();
-                                    locks += 1;
-                                    scanned += ids.len() as u64;
-                                    for id in ids {
-                                        if let Some(run) = g.get(id) {
-                                            if filter.matches(run) {
-                                                observe_run_grouped(
-                                                    &mut local, run, group_cols, aggs,
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                                None => {
-                                    let g = self.run_shards[si].read();
-                                    locks += 1;
-                                    scanned += g.len() as u64;
-                                    for run in g.values() {
-                                        if filter.matches(run) {
-                                            observe_run_grouped(&mut local, run, group_cols, aggs);
-                                        }
-                                    }
-                                }
-                            }
+                            let candidates = routed.map(|per_shard| &per_shard[si][..]);
+                            scanned += self.visit_shard(si, candidates, None, filter, |run| {
+                                observe_run_grouped(&mut local, run, group_cols, aggs)
+                            });
                         }
-                        (local, scanned, locks)
+                        (local, scanned)
                     })
                 })
                 .collect();
             for h in handles {
-                let (local, w_scanned, w_locks) = h.join().expect("grouped scan worker panicked");
+                let (local, w_scanned) = h.join().expect("grouped scan worker panicked");
                 scanned += w_scanned;
-                locks += w_locks;
                 for (k, g) in local {
                     match merged.entry(k) {
                         Entry::Occupied(mut e) => e.get_mut().merge(&g),
@@ -1302,7 +1251,6 @@ impl Store for MemoryStore {
             }
         });
         self.tele.rows_scanned.add(scanned);
-        self.tele.scan_locks.add(locks);
         // The headline number: a grouped scan returns group-count rows,
         // not row-count rows.
         self.tele.rows_returned.add(merged.len() as u64);

@@ -258,6 +258,28 @@ pub fn diagnosis_row(d: &DiagnosisRecord) -> Row {
     ]
 }
 
+/// The scan of a small keyed table held whole in memory: snapshot every
+/// record, keep those whose two key columns equal the pushed restrictions
+/// (`None` = unrestricted), convert the survivors, count both sides.
+fn scan_keyed_rows<T>(
+    store: &dyn Store,
+    all: Vec<T>,
+    keys: fn(&T) -> [&str; 2],
+    want: [Option<&str>; 2],
+    row: fn(&T) -> Row,
+) -> Vec<Row> {
+    let keep = |rec: &&T| {
+        let have = keys(rec);
+        (0..2).all(|i| want[i].is_none_or(|w| have[i] == w))
+    };
+    let rows: Vec<Row> = all.iter().filter(keep).map(row).collect();
+    if let Some(t) = store.telemetry() {
+        t.add("query.rows_scanned", all.len() as u64);
+        t.add("query.rows_returned", rows.len() as u64);
+    }
+    rows
+}
+
 /// Materialize `diagnoses` rows, optionally restricted to one incident
 /// key and/or one suspect (the pushdown the planner extracts from
 /// equality conjuncts). Rows come back in (incident key, rank) order.
@@ -266,19 +288,13 @@ pub fn scan_diagnosis_rows(
     incident_key: Option<&str>,
     suspect: Option<&str>,
 ) -> Result<Vec<Row>> {
-    let all = store.diagnoses()?;
-    let scanned = all.len() as u64;
-    let rows: Vec<Row> = all
-        .iter()
-        .filter(|d| incident_key.is_none_or(|k| d.incident_key == k))
-        .filter(|d| suspect.is_none_or(|s| d.suspect == s))
-        .map(diagnosis_row)
-        .collect();
-    if let Some(t) = store.telemetry() {
-        t.add("query.rows_scanned", scanned);
-        t.add("query.rows_returned", rows.len() as u64);
-    }
-    Ok(rows)
+    Ok(scan_keyed_rows(
+        store,
+        store.diagnoses()?,
+        |d| [&d.incident_key, &d.suspect],
+        [incident_key, suspect],
+        diagnosis_row,
+    ))
 }
 
 /// Materialize `events` rows through the journal's filtered scan. The
@@ -388,19 +404,13 @@ pub fn scan_summary_rows(
     component: Option<&str>,
     metric: Option<&str>,
 ) -> Result<Vec<Row>> {
-    let all = store.monitor_summaries()?;
-    let scanned = all.len() as u64;
-    let rows: Vec<Row> = all
-        .iter()
-        .filter(|s| component.is_none_or(|c| s.component == c))
-        .filter(|s| metric.is_none_or(|m| s.metric == m))
-        .map(summary_row)
-        .collect();
-    if let Some(t) = store.telemetry() {
-        t.add("query.rows_scanned", scanned);
-        t.add("query.rows_returned", rows.len() as u64);
-    }
-    Ok(rows)
+    Ok(scan_keyed_rows(
+        store,
+        store.monitor_summaries()?,
+        |s| [&s.component, &s.metric],
+        [component, metric],
+        summary_row,
+    ))
 }
 
 /// Convert one metric point into its `metrics` row.
