@@ -25,6 +25,7 @@ pub mod aggregate;
 pub mod artifact;
 pub mod artifact_disk;
 pub mod clock;
+mod codec;
 pub mod deletion;
 pub mod error;
 pub mod event;

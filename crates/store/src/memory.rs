@@ -28,6 +28,7 @@
 //! path.
 
 use crate::aggregate::{canonical_row_key, AggInput, GroupPartial};
+use crate::codec::EventRef;
 use crate::error::{Result, StoreError};
 use crate::event::{
     DiagnosisRecord, EventBus, EventFilter, EventId, EventKind, EventSeverity, IncidentRecord,
@@ -710,22 +711,64 @@ impl MemoryStore {
         self.runs_removed.fetch_max(runs_removed, Ordering::Relaxed);
     }
 
-    /// Every component with at least one metric series, sorted. Unlike
-    /// iterating registered components, this also surfaces metrics logged
-    /// for components that were never registered — a checkpoint must fold
-    /// those too or they would silently vanish.
-    pub(crate) fn metric_components(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.metrics.read().names.keys().cloned().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Every component with at least one compaction summary, sorted (same
-    /// rationale as [`MemoryStore::metric_components`]).
-    pub(crate) fn summary_components(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.summaries.read().keys().cloned().collect();
-        out.sort_unstable();
-        out
+    /// Visit the store's current state as WAL events, in replay order and
+    /// by reference: the checkpoint encodes each record where it lies, so
+    /// the state is never cloned into a second, whole-store list. Applying
+    /// the visited events to an empty store, in order, rebuilds this one.
+    /// Metrics and summaries are enumerated from their own tables (not via
+    /// registered components) so records logged for never-registered
+    /// components survive the fold. Holds read locks while `visit` runs;
+    /// the caller keeps writers out.
+    pub(crate) fn visit_state(
+        &self,
+        mut visit: impl FnMut(EventRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        for rec in self.components.read().values() {
+            visit(EventRef::Component(rec))?;
+        }
+        for rec in self.io_pointers.read().values() {
+            visit(EventRef::IoPointer(rec))?;
+            if rec.flag {
+                visit(EventRef::Flag {
+                    io: &rec.name,
+                    flag: true,
+                })?;
+            }
+        }
+        {
+            let shards: Vec<_> = self.run_shards.iter().map(|s| s.read()).collect();
+            let mut runs: Vec<_> = shards.iter().flat_map(|s| s.values()).collect();
+            runs.sort_unstable_by_key(|run| run.id);
+            for run in runs {
+                visit(EventRef::Run(run))?;
+            }
+        }
+        {
+            let table = self.metrics.read();
+            let mut series: Vec<_> = table.series.iter().collect();
+            series.sort_unstable_by_key(|(key, _)| *key);
+            for rec in series.into_iter().flat_map(|(_, points)| points) {
+                visit(EventRef::Metric(rec))?;
+            }
+        }
+        {
+            let table = self.summaries.read();
+            let mut components: Vec<_> = table.iter().collect();
+            components.sort_unstable_by_key(|(name, _)| *name);
+            for rec in components.into_iter().flat_map(|(_, list)| list) {
+                visit(EventRef::Summary(rec))?;
+            }
+        }
+        for rec in self.events.read().iter() {
+            visit(EventRef::Obs(rec))?;
+        }
+        for rec in self.incidents.read().values() {
+            visit(EventRef::Incident(rec))?;
+        }
+        for (key, rows) in self.diagnoses.read().iter() {
+            visit(EventRef::Diagnosis { key, rows })?;
+        }
+        Ok(())
     }
 
     /// Add one run to every secondary index: the per-component list, the

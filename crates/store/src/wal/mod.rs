@@ -37,7 +37,11 @@
 //! leaves an extra segment to replay, never a snapshot that hides
 //! unapplied log suffix. [`WalStore::compact_segments`] deletes segments a
 //! snapshot covers; until then the snapshot is redundant and a corrupt one
-//! degrades to replaying every segment from scratch. Checkpoints trigger
+//! degrades to replaying every segment from scratch. The snapshot's
+//! records are binary (`crate::codec`; layout in the `snapshot` module)
+//! and stream in both directions — encoded from the store, or decoded and
+//! applied to it, one record at a time — while the log stays JSON lines.
+//! Checkpoints trigger
 //! on the group-commit path via [`CheckpointPolicy`] thresholds, or
 //! explicitly via [`WalStore::checkpoint`] (`mltrace checkpoint`).
 //!
@@ -62,6 +66,7 @@ mod segment;
 mod snapshot;
 
 use crate::aggregate::{AggInput, GroupPartial};
+use crate::codec::EventRef;
 use crate::error::{Result, StoreError};
 use crate::event::{
     DiagnosisRecord, EventBus, EventFilter, EventId, EventKind, EventSeverity, IncidentRecord,
@@ -88,7 +93,7 @@ use serde::{Deserialize, Serialize};
 /// One durable event. The WAL is the sequence of all mutations.
 #[derive(Debug, Serialize, Deserialize)]
 #[serde(tag = "event")]
-enum WalEvent {
+pub(crate) enum WalEvent {
     Component {
         rec: ComponentRecord,
     },
@@ -365,7 +370,7 @@ impl ZoneMap {
     /// Fold one WAL event into the zone's bounds. Only runs and journal
     /// events carry prunable columns; everything else merely rides along
     /// in the segment.
-    fn observe(&mut self, event: &WalEvent) {
+    fn observe(&mut self, event: EventRef<'_>) {
         fn lo(slot: &mut Option<u64>, v: u64) {
             *slot = Some(slot.map_or(v, |s| s.min(v)));
         }
@@ -373,14 +378,14 @@ impl ZoneMap {
             *slot = Some(slot.map_or(v, |s| s.max(v)));
         }
         match event {
-            WalEvent::Run { rec } => {
+            EventRef::Run(rec) => {
                 self.runs += 1;
                 lo(&mut self.min_run_id, rec.id.0);
                 hi(&mut self.max_run_id, rec.id.0);
                 lo(&mut self.min_start_ms, rec.start_ms);
                 hi(&mut self.max_start_ms, rec.start_ms);
             }
-            WalEvent::Obs { rec } => {
+            EventRef::Obs(rec) => {
                 self.events += 1;
                 lo(&mut self.min_event_id, rec.id.0);
                 hi(&mut self.max_event_id, rec.id.0);
@@ -389,7 +394,7 @@ impl ZoneMap {
                 self.event_kinds |= 1 << kind_bit(rec.kind);
                 self.event_severities |= 1 << severity_bit(rec.severity);
             }
-            WalEvent::Metric { .. } => {
+            EventRef::Metric(_) => {
                 self.metrics = Some(self.metrics.unwrap_or(0) + 1);
             }
             _ => {}
@@ -517,28 +522,24 @@ pub fn read_journal(
             // No usable snapshot: the segments still hold the history
             // (until compaction), so read them all from seq 1.
         }
-        snapshot::SnapshotLoad::Loaded {
-            header,
-            buf,
-            records,
-        } => {
-            covered = header.covered_seq;
-            if header
+        snapshot::SnapshotLoad::Loaded(snap) => {
+            if snap
+                .header
                 .zone
                 .as_ref()
                 .is_some_and(|z| z.excludes_events(filter))
             {
+                covered = snap.header.covered_seq;
                 out.snapshot_pruned = true;
-            } else {
+            } else if let Ok(found) = snap.journal_events() {
+                covered = snap.header.covered_seq;
                 out.snapshot_used = true;
-                for &(at, len) in &records {
-                    if let Ok(WalEvent::Obs { rec }) =
-                        serde_json::from_slice::<WalEvent>(&buf[at..at + len])
-                    {
-                        events.push(rec);
-                    }
-                }
+                events = found;
             }
+            // A record that does not decode inside a checksummed snapshot
+            // is the open's "corrupt snapshot" case, reported the same
+            // way: the snapshot is not used and the segments are read
+            // from seq 1 — never a silently shorter answer.
         }
     }
 
@@ -947,26 +948,21 @@ impl WalStore {
         // left in place for forensics; the next checkpoint replaces it.
         let mut covered: u64 = 0;
         let mut fallback: Option<String> = None;
-        match snapshot::read_snapshot(&path) {
+        let loaded = snapshot::read_snapshot(&path);
+        let read_done = Instant::now();
+        match loaded {
             snapshot::SnapshotLoad::Missing => {}
             snapshot::SnapshotLoad::Corrupt(why) => fallback = Some(why),
-            snapshot::SnapshotLoad::Loaded {
-                header,
-                buf,
-                records,
-            } => {
-                let slices: Vec<&[u8]> = records
-                    .iter()
-                    .map(|&(at, len)| &buf[at..at + len])
-                    .collect();
-                let imported = replay::parse_records(&slices, workers)
-                    .map_err(|(i, e)| format!("record {i}: {e}"))
-                    .and_then(|events| {
-                        for event in events {
-                            Self::apply(&mem, event).map_err(|e| format!("import: {e}"))?;
-                        }
-                        Ok(())
-                    });
+            snapshot::SnapshotLoad::Loaded(snap) => {
+                // One record at a time: decoded, applied, dropped. The
+                // store never exists a second time as a list of events.
+                let imported = snap.records().enumerate().try_for_each(|(i, record)| {
+                    let event = snap
+                        .decode(record)
+                        .map_err(|why| format!("record {i}: {why}"))?;
+                    Self::apply(&mem, event).map_err(|e| format!("import: {e}"))
+                });
+                let header = &snap.header;
                 match imported {
                     Ok(()) => {
                         mem.restore_watermarks(
@@ -976,7 +972,7 @@ impl WalStore {
                         );
                         covered = header.covered_seq;
                         tele.snapshot_loads.incr();
-                        tele.snapshot_bytes.set(buf.len() as i64);
+                        tele.snapshot_bytes.set(snap.file_len() as i64);
                         // Operator-facing snapshot provenance: 0 means a
                         // pre-zone-map (v1) snapshot restored this state.
                         registry
@@ -999,6 +995,7 @@ impl WalStore {
             covered = 0;
             tele.snapshot_fallbacks.incr();
         }
+        let import_done = Instant::now();
 
         // 2. Sealed segments newer than the snapshot, oldest first.
         // Segments are immutable after rotation, so a torn tail here is
@@ -1050,7 +1047,7 @@ impl WalStore {
         let mut active_zone = ZoneMap::new();
         if path.exists() {
             let rep = replay::replay_file(&path, workers, |e| {
-                active_zone.observe(&e);
+                active_zone.observe(e.as_ref());
                 Self::apply(&mem, e)
             })
             .map_err(|e| Self::replay_error(&path, &path, e))?;
@@ -1076,7 +1073,18 @@ impl WalStore {
             active_len += 1;
         }
         tele.replay_events.add(replayed);
-        tele.recovery.record(started.elapsed().as_nanos() as u64);
+        // Where the open went: read + checksum + framing, then decode +
+        // apply, then segments + active log. They sum to no more than
+        // the `wal.recovery` sample taken over the same span.
+        let done = Instant::now();
+        for (name, from, to) in [
+            ("wal.open_snapshot_read_ns", started, read_done),
+            ("wal.open_snapshot_import_ns", read_done, import_done),
+            ("wal.open_tail_replay_ns", import_done, done),
+        ] {
+            registry.gauge(name).set((to - from).as_nanos() as i64);
+        }
+        tele.recovery.record((done - started).as_nanos() as u64);
         registry
             .gauge("wal.replay_plane_skipped_segments")
             .set(plane_skipped as i64);
@@ -1256,7 +1264,7 @@ impl WalStore {
         let started = Instant::now();
         let mut buf = Vec::with_capacity(256);
         encode_event(&mut buf, event)?;
-        self.active_zone.lock().observe(event);
+        self.active_zone.lock().observe(event.as_ref());
         self.writer.lock().write(&buf, 1, self.policy)?;
         self.active_bytes
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
@@ -1282,7 +1290,7 @@ impl WalStore {
         {
             let mut zone = self.active_zone.lock();
             for event in events {
-                zone.observe(event);
+                zone.observe(event.as_ref());
             }
         }
         self.writer.lock().write(&buf, events.len(), self.policy)?;
@@ -1392,15 +1400,15 @@ impl WalStore {
                 None
             };
             let covers = self.next_seq.load(Ordering::SeqCst) - 1;
-            let records = self.state_events()?;
-            let mut encoded = Vec::with_capacity(records.len());
-            // The snapshot gets a zone over everything it folds, so cold
-            // readers can skip parsing its records too.
+            // Each record is encoded straight from the store into the
+            // snapshot's one buffer; the zone over everything folded lets
+            // cold readers skip decoding the snapshot too.
+            let mut writer = snapshot::SnapshotWriter::default();
             let mut snap_zone = ZoneMap::new();
-            for event in &records {
+            self.mem.visit_state(|event| {
                 snap_zone.observe(event);
-                encoded.push(serde_json::to_vec(event)?);
-            }
+                writer.push(event)
+            })?;
             let (next_run_id, next_event_id, runs_removed) = self.mem.watermarks();
             let header = snapshot::SnapshotHeader {
                 format_version: ZONE_FORMAT_VERSION,
@@ -1409,10 +1417,10 @@ impl WalStore {
                 next_run_id,
                 next_event_id,
                 runs_removed,
-                records: encoded.len() as u64,
+                records: writer.records(),
                 created_ms: wall_ms(),
             };
-            let snapshot_bytes = snapshot::write_snapshot(&self.path, &header, &encoded)?;
+            let snapshot_bytes = writer.finish(&self.path, &header)?;
             let events_folded = self.events_since_ckpt.swap(0, Ordering::SeqCst);
             self.covered_seq.store(covers, Ordering::SeqCst);
             self.tele.checkpoints.incr();
@@ -1450,64 +1458,6 @@ impl WalStore {
         )
         .payload("snapshot_bytes", Value::Int(report.snapshot_bytes as i64))])?;
         Ok(report)
-    }
-
-    /// The store's current state as WAL events, in replay order. The same
-    /// emit order the pre-segmentation log rewrite used, so a snapshot
-    /// import is byte-for-byte the same apply sequence as replaying a
-    /// rewritten log. Metrics and summaries are enumerated from their own
-    /// tables (not via registered components) so records logged for
-    /// never-registered components survive the fold.
-    fn state_events(&self) -> Result<Vec<WalEvent>> {
-        let mut out = Vec::new();
-        for rec in self.mem.components()? {
-            out.push(WalEvent::Component { rec });
-        }
-        for rec in self.mem.io_pointers()? {
-            let flag = rec.flag;
-            let name = rec.name.clone();
-            out.push(WalEvent::IoPointer { rec });
-            if flag {
-                out.push(WalEvent::Flag {
-                    io: name,
-                    flag: true,
-                });
-            }
-        }
-        for id in self.mem.run_ids()? {
-            if let Some(rec) = self.mem.run(id)? {
-                out.push(WalEvent::Run { rec });
-            }
-        }
-        for comp in self.mem.metric_components() {
-            for name in self.mem.metric_names(&comp)? {
-                for rec in self.mem.metrics(&comp, &name)? {
-                    out.push(WalEvent::Metric { rec });
-                }
-            }
-        }
-        for comp in self.mem.summary_components() {
-            for rec in self.mem.summaries(&comp)? {
-                out.push(WalEvent::Summary { rec });
-            }
-        }
-        for rec in self.mem.scan_events(None, &EventFilter::all(), None)? {
-            out.push(WalEvent::Obs { rec });
-        }
-        for rec in self.mem.incidents()? {
-            out.push(WalEvent::Incident { rec });
-        }
-        let mut by_key: BTreeMap<String, Vec<DiagnosisRecord>> = BTreeMap::new();
-        for row in self.mem.diagnoses()? {
-            by_key
-                .entry(row.incident_key.clone())
-                .or_default()
-                .push(row);
-        }
-        for (key, rows) in by_key {
-            out.push(WalEvent::Diagnosis { key, rows });
-        }
-        Ok(out)
     }
 
     /// Delete sealed segments the snapshot covers, reclaiming disk. This
@@ -2614,8 +2564,8 @@ mod tests {
         a.id = EventId(5);
         let mut b = obs(EventKind::RunStarted, EventSeverity::Info, 200);
         b.id = EventId(9);
-        zone.observe(&WalEvent::Obs { rec: a });
-        zone.observe(&WalEvent::Obs { rec: b });
+        zone.observe(EventRef::Obs(&a));
+        zone.observe(EventRef::Obs(&b));
         assert_eq!(zone.events, 2);
         // Kind bitmap: present kinds keep the zone, absent kinds prune.
         assert!(!zone.excludes_events(&EventFilter::all().with_kind(EventKind::AlertFired)));
@@ -2638,9 +2588,7 @@ mod tests {
         // A zone with no journal events excludes every event read — a
         // runs-only segment never needs decoding for `tail`.
         let mut runs_only = ZoneMap::new();
-        runs_only.observe(&WalEvent::Run {
-            rec: run("etl", 100, &[], &[]),
-        });
+        runs_only.observe(EventRef::Run(&run("etl", 100, &[], &[])));
         assert!(runs_only.excludes_events(&EventFilter::all()));
         assert_eq!(runs_only.runs, 1);
         assert_eq!(runs_only.min_start_ms, Some(100));
@@ -2820,6 +2768,544 @@ mod tests {
         // Quiet follow-up poll: nothing new, nothing re-read.
         assert!(f.poll().unwrap().is_empty());
         assert_eq!(f.segments_pruned(), 1);
+        purge(&path);
+    }
+
+    // ---- MLSNAP02: equivalence with MLSNAP01 and full replay, migration,
+    // ---- damage, cold journal reads, open-stage telemetry
+
+    /// Explicit checkpoints only, so copies of one family stay in step.
+    fn manual_checkpoints() -> WalOptions {
+        WalOptions {
+            checkpoint: CheckpointPolicy::disabled(),
+            ..WalOptions::default()
+        }
+    }
+
+    /// Copy a WAL family (active log, snapshot, sealed segments).
+    fn copy_family(from: &Path, to: &Path) {
+        std::fs::copy(from, to).unwrap();
+        let snap = snapshot::snapshot_path(from);
+        if snap.exists() {
+            std::fs::copy(snap, snapshot::snapshot_path(to)).unwrap();
+        }
+        for (seq, seg) in segment::list_segments(from).unwrap() {
+            std::fs::copy(seg, segment::segment_path(to, seq)).unwrap();
+        }
+    }
+
+    fn snapshot_magic(path: &Path) -> Vec<u8> {
+        std::fs::read(snapshot::snapshot_path(path)).unwrap()[..8].to_vec()
+    }
+
+    /// One seeded store holding every kind of record a snapshot folds:
+    /// runs with triggers, metadata and dependencies, deletions, flags,
+    /// metric series long enough to roll monitoring windows and drift
+    /// (plus non-finite points on a never-registered component),
+    /// retention summaries, journal events, incidents and diagnoses.
+    fn build_rich_store(path: &Path) -> WalStore {
+        use crate::event::IncidentState;
+        use crate::record::{MetricAggregate, PointerType, RunStatus, TriggerOutcomeRecord};
+        let s = WalStore::open_with_options(path, manual_checkpoints()).unwrap();
+        let mut seed: u64 = 0x5eed;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        for (name, owner) in [("etl", "data"), ("train", "ml"), ("infer", "")] {
+            s.register_component(ComponentRecord {
+                name: name.into(),
+                description: format!("{name} stage"),
+                owner: owner.into(),
+                tags: vec![name.into(), "naïve ✓".into()],
+            })
+            .unwrap();
+        }
+        for (i, name) in ["raw.csv", "clean.csv", "model.pkl", "https://api/predict"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rec = IoPointerRecord::new(name, 10 + i as u64);
+            if rec.ptype == PointerType::Model {
+                rec.artifact = Some("00ff".repeat(8));
+            }
+            s.upsert_io_pointer(rec).unwrap();
+        }
+        s.set_flag("raw.csv", true).unwrap();
+        s.set_flag("clean.csv", true).unwrap();
+        s.set_flag("clean.csv", false).unwrap();
+        let mut ids = Vec::new();
+        for i in 0..60u64 {
+            let component = ["etl", "train", "infer"][(i % 3) as usize];
+            let mut rec = run(component, 1_000 + i * 7, &["raw.csv"], &["clean.csv"]);
+            rec.status = [
+                RunStatus::Success,
+                RunStatus::Failed,
+                RunStatus::TriggerFailed,
+            ][(next() % 3) as usize];
+            rec.code_hash = format!("{:x}", next());
+            rec.dependencies = ids.iter().rev().take((i % 3) as usize).copied().collect();
+            if i % 4 == 0 {
+                rec.triggers.push(TriggerOutcomeRecord {
+                    trigger: "no_nulls".into(),
+                    phase: "after".into(),
+                    passed: i % 8 == 0,
+                    detail: "null fraction".into(),
+                    values: BTreeMap::from([
+                        ("fraction".to_string(), Value::Float(0.125 * i as f64)),
+                        (
+                            "cols".to_string(),
+                            Value::List(vec![Value::Str("fare".into()), Value::Null]),
+                        ),
+                    ]),
+                });
+                rec.metadata.insert(
+                    "shape".into(),
+                    Value::Map(BTreeMap::from([
+                        ("rows".to_string(), Value::Int(next() as i64)),
+                        ("ok".to_string(), Value::Bool(true)),
+                    ])),
+                );
+            }
+            ids.push(s.log_run(rec).unwrap());
+        }
+        s.log_run_bundle(RunBundle {
+            run: run("infer", 5_000, &["model.pkl"], &["pred-1"]),
+            pointers: vec![IoPointerRecord::new("pred-1", 5_000)],
+            metrics: vec![MetricRecord {
+                component: "infer".into(),
+                run_id: None,
+                name: "rows".into(),
+                value: 17.0,
+                ts_ms: 5_001,
+            }],
+            events: vec![ObservabilityEvent::new(
+                EventKind::RunFinished,
+                EventSeverity::Info,
+                5_001,
+            )
+            .component("infer")],
+        })
+        .unwrap();
+        // Two quiet windows, then a shifted one: window rolls, drift
+        // scores, and the journaled events and incident they route to.
+        let latency: Vec<MetricRecord> = (0..800u64)
+            .map(|i| MetricRecord {
+                component: "infer".into(),
+                run_id: None,
+                name: "latency".into(),
+                value: (next() % 1000) as f64 / 100.0 + if i >= 512 { 60.0 } else { 10.0 },
+                ts_ms: 6_000 + i,
+            })
+            .collect();
+        s.log_metrics(latency).unwrap();
+        for (i, value) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, f64::NAN]
+            .into_iter()
+            .enumerate()
+        {
+            s.log_metric(MetricRecord {
+                component: "ghost".into(),
+                run_id: Some(ids[i]),
+                name: "null_rate".into(),
+                value,
+                ts_ms: 7_000 + i as u64,
+            })
+            .unwrap();
+        }
+        s.delete_runs(&[ids[3], ids[4], ids[40]]).unwrap();
+        s.delete_io_pointers(&["https://api/predict".to_string()])
+            .unwrap();
+        for component in ["etl", "never-registered"] {
+            s.put_summary(CompactionSummary {
+                component: component.into(),
+                window_start_ms: 0,
+                window_end_ms: 900,
+                run_count: 12,
+                failed_count: 2,
+                mean_duration_ms: 3.25,
+                metric_aggregates: BTreeMap::from([(
+                    "rows".to_string(),
+                    MetricAggregate {
+                        count: 12,
+                        mean: 10.5,
+                        min: 1.0,
+                        max: 20.0,
+                    },
+                )]),
+            })
+            .unwrap();
+        }
+        s.log_events(vec![
+            obs(EventKind::AlertFired, EventSeverity::Page, 8_000)
+                .run(ids[7])
+                .detail("latency breach")
+                .payload("threshold", Value::Float(42.5))
+                .payload("rule", Value::Str("p95".into())),
+            obs(EventKind::StalenessFlagged, EventSeverity::Warn, 8_010),
+        ])
+        .unwrap();
+        s.upsert_incident(IncidentRecord {
+            key: "infer/latency-sla".into(),
+            state: IncidentState::Acknowledged,
+            severity: EventSeverity::Page,
+            subject: "infer".into(),
+            opened_ms: 8_000,
+            last_fire_ms: 8_005,
+            resolved_ms: None,
+            fire_count: 2,
+            suppressed_count: 1,
+            burn_ms: 5,
+            detail: "latency breach".into(),
+        })
+        .unwrap();
+        for (key, suspects) in [("infer/latency-sla", 2), ("run:7", 1)] {
+            let rows = (1..=suspects)
+                .map(|rank| DiagnosisRecord {
+                    incident_key: key.into(),
+                    rank,
+                    suspect: ["etl", "train"][rank as usize - 1].into(),
+                    evidence_kind: "drift_onset".into(),
+                    score: 1.0 / rank as f64,
+                    onset_ms: 7_900,
+                    distance: rank as u32,
+                    detail: "upstream drift".into(),
+                })
+                .collect();
+            s.put_diagnosis(key, rows).unwrap();
+        }
+        s.sync().unwrap();
+        s
+    }
+
+    /// Everything observable about a store's state, floats by bits, one
+    /// line per fact so a mismatch names what differs.
+    fn fingerprint(s: &WalStore) -> Vec<String> {
+        use crate::aggregate::canonical_row_key;
+        use crate::schema::{self, Table};
+        let mut out = vec![
+            format!("stats {:?}", s.stats().unwrap()),
+            format!("watermarks {:?}", s.mem.watermarks()),
+            format!("index_stats {:?}", s.index_stats().unwrap()),
+            format!("index_footprint {:?}", s.index_footprint().unwrap()),
+            format!("flagged {:?}", s.flagged().unwrap()),
+            format!("incidents {:?}", s.incidents().unwrap()),
+            format!("diagnoses {:?}", s.diagnoses().unwrap()),
+        ];
+        for table in [
+            Table::Components,
+            Table::ComponentRuns,
+            Table::IoPointers,
+            Table::Metrics,
+            Table::Summaries,
+            Table::Rollups,
+            Table::Events,
+            Table::Incidents,
+            Table::Diagnoses,
+        ] {
+            for row in schema::scan(s, table).unwrap() {
+                out.push(format!("{} {}", table.name(), canonical_row_key(&row)));
+            }
+        }
+        // Every index route against the full scan of the same filter.
+        let mut by_id = RunFilter::all();
+        by_id.min_id = Some(10);
+        by_id.max_id = Some(45);
+        for (route, filter) in [
+            (
+                IndexRoute::Component,
+                RunFilter::all().with_component("train"),
+            ),
+            (
+                IndexRoute::Status,
+                RunFilter::all().with_status(crate::record::RunStatus::Failed),
+            ),
+            (
+                IndexRoute::StartTime,
+                RunFilter::all().started_at_or_after(1_200),
+            ),
+            (IndexRoute::IdRange, by_id),
+        ] {
+            let indexed = s
+                .scan_runs_indexed(None, &filter, None, route)
+                .unwrap()
+                .expect("route applies");
+            assert_eq!(indexed, s.scan_runs(None, &filter, None).unwrap());
+            let ids: Vec<u64> = indexed.iter().map(|r| r.id.0).collect();
+            out.push(format!("route {} {ids:?}", route.name()));
+        }
+        for m in s.monitor_summaries().unwrap() {
+            let floats = [
+                m.mean,
+                m.variance,
+                m.min,
+                m.max,
+                m.p50,
+                m.p95,
+                m.p99,
+                m.null_rate,
+                m.drift_score,
+            ]
+            .map(f64::to_bits);
+            out.push(format!(
+                "monitor {}/{} windows {} count {} window_points {} reference {} {} last {} {floats:x?}",
+                m.component,
+                m.metric,
+                m.windows,
+                m.count,
+                m.window_points,
+                m.reference_points,
+                m.drift_method,
+                m.last_ts_ms,
+            ));
+        }
+        // Every folded record, payloads and trigger values included,
+        // through the codec: byte-equal means bit-equal.
+        let mut state = Vec::new();
+        s.mem
+            .visit_state(|event| {
+                crate::codec::encode(&mut state, event);
+                Ok(())
+            })
+            .unwrap();
+        out.push(format!(
+            "state {} bytes {:016x}",
+            state.len(),
+            crate::hash::fnv1a_64(&state)
+        ));
+        out
+    }
+
+    #[test]
+    fn v1_snapshot_v2_snapshot_and_full_replay_open_to_the_same_store() {
+        let v2 = tmp("equiv-v2");
+        {
+            let s = build_rich_store(&v2);
+            let report = s.checkpoint().unwrap();
+            assert!(report.wrote_snapshot);
+            // A tail past the snapshot, so every open also replays.
+            s.log_run(run("etl", 9_000, &["raw.csv"], &[])).unwrap();
+            s.log_metric(MetricRecord {
+                component: "infer".into(),
+                run_id: None,
+                name: "latency".into(),
+                value: 11.0,
+                ts_ms: 9_001,
+            })
+            .unwrap();
+            s.sync().unwrap();
+        }
+        assert_eq!(snapshot_magic(&v2), b"MLSNAP02");
+        let (v1, full) = (tmp("equiv-v1"), tmp("equiv-full"));
+        copy_family(&v2, &v1);
+        copy_family(&v2, &full);
+        // The same header and records as an older build wrote them.
+        let snapshot::SnapshotLoad::Loaded(snap) = snapshot::read_snapshot(&v2) else {
+            panic!("the checkpoint's snapshot loads");
+        };
+        let events: Vec<WalEvent> = snap
+            .records()
+            .map(|record| snap.decode(record).unwrap())
+            .collect();
+        assert_eq!(events.len() as u64, snap.header.records);
+        snapshot::write_snapshot_v1(&v1, &snap.header, &events).unwrap();
+        assert_eq!(snapshot_magic(&v1), b"MLSNAP01");
+        std::fs::remove_file(snapshot::snapshot_path(&full)).unwrap();
+
+        let open = |p: &Path| WalStore::open_with_options(p, manual_checkpoints()).unwrap();
+        let (from_v2, from_v1, replayed) = (open(&v2), open(&v1), open(&full));
+        for (s, loads) in [(&from_v2, 1), (&from_v1, 1), (&replayed, 0)] {
+            assert!(!s.snapshot_fallback() && !s.recovered());
+            let snap = s.telemetry().unwrap().snapshot();
+            assert_eq!(snap.counters["wal.snapshot_loads_total"], loads);
+        }
+        let want = fingerprint(&replayed);
+        assert!(
+            want.iter()
+                .any(|l| l.starts_with("events ") && l.contains("drift_scored")),
+            "the fixture drifts"
+        );
+        assert_eq!(replayed.stats().unwrap().incidents, 2, "drift opened one");
+        assert_eq!(fingerprint(&from_v2), want, "MLSNAP02 vs full replay");
+        assert_eq!(fingerprint(&from_v1), want, "MLSNAP01 vs full replay");
+
+        // Migration: the store opened from v1 checkpoints to v2, and the
+        // v1 path is not taken again.
+        let id = from_v1.log_run(run("etl", 9_100, &[], &[])).unwrap();
+        assert_eq!(id, replayed.log_run(run("etl", 9_100, &[], &[])).unwrap());
+        from_v1.checkpoint().unwrap();
+        let stats = from_v1.stats().unwrap();
+        drop(from_v1);
+        assert_eq!(snapshot_magic(&v1), b"MLSNAP02");
+        let reopened = open(&v1);
+        assert!(!reopened.snapshot_fallback());
+        assert_eq!(reopened.stats().unwrap(), stats);
+        for p in [&v2, &v1, &full] {
+            purge(p);
+        }
+    }
+
+    #[test]
+    fn damaged_v2_snapshot_falls_back_to_full_replay_and_is_journaled() {
+        let base = tmp("v2-damage");
+        let runs;
+        {
+            let s = build_rich_store(&base);
+            s.checkpoint().unwrap();
+            s.log_run(run("etl", 9_000, &[], &[])).unwrap();
+            s.sync().unwrap();
+            runs = s.stats().unwrap().runs;
+        }
+        let good = std::fs::read(snapshot::snapshot_path(&base)).unwrap();
+        let snapshot::SnapshotLoad::Loaded(snap) = snapshot::read_snapshot(&base) else {
+            panic!("the checkpoint's snapshot loads");
+        };
+        // A count no file could hold, under a checksum that still holds:
+        // the footer is not a MAC, so the count must be bounded by the
+        // bytes that remain rather than trusted to size anything.
+        let hostile = snapshot::SnapshotHeader {
+            records: u64::MAX,
+            ..snap.header.clone()
+        };
+        type Damage<'a> = Box<dyn Fn(&Path) + 'a>;
+        let damages: [(&str, Damage); 4] = [
+            (
+                "checksum",
+                Box::new(|p| std::fs::write(p, &good[..good.len() / 2]).unwrap()),
+            ),
+            (
+                "checksum",
+                Box::new(|p| {
+                    let mut flipped = good.clone();
+                    flipped[good.len() / 2] ^= 0x10;
+                    std::fs::write(p, flipped).unwrap();
+                }),
+            ),
+            (
+                "claims 18446744073709551615 records",
+                Box::new(|p| {
+                    let base = p.with_extension("");
+                    snapshot::SnapshotWriter::default()
+                        .finish(&base, &hostile)
+                        .unwrap();
+                }),
+            ),
+            (
+                "claims 18446744073709551615 records",
+                Box::new(|p| {
+                    let base = p.with_extension("");
+                    snapshot::write_snapshot_v1(&base, &hostile, &[]).unwrap();
+                }),
+            ),
+        ];
+        for (i, (why, damage)) in damages.iter().enumerate() {
+            let copy = tmp(&format!("v2-damage-{i}"));
+            copy_family(&base, &copy);
+            let snap_path = snapshot::snapshot_path(&copy);
+            assert_eq!(snap_path.with_extension(""), copy);
+            damage(&snap_path);
+            match snapshot::read_snapshot(&copy) {
+                snapshot::SnapshotLoad::Corrupt(got) => assert!(got.contains(why), "{got}"),
+                _ => panic!("damage {i} went unnoticed"),
+            }
+            let s = WalStore::open_with_options(&copy, manual_checkpoints()).unwrap();
+            assert!(s.snapshot_fallback(), "damage {i}");
+            assert_eq!(s.stats().unwrap().runs, runs, "damage {i}");
+            let journaled = s
+                .scan_events(
+                    None,
+                    &EventFilter::all().with_kind(EventKind::WalRecovered),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(journaled.len(), 1, "damage {i}");
+            assert!(journaled[0].detail.contains(why), "{}", journaled[0].detail);
+            purge(&copy);
+        }
+        purge(&base);
+    }
+
+    #[test]
+    fn cold_journal_read_reports_an_undecodable_v2_record() {
+        let path = tmp("journal-v2-bad");
+        {
+            let s = WalStore::open(&path).unwrap();
+            s.log_run(run("etl", 100, &[], &["out.csv"])).unwrap();
+            s.log_events(vec![
+                obs(EventKind::AlertFired, EventSeverity::Page, 200),
+                obs(EventKind::RunStarted, EventSeverity::Info, 210),
+            ])
+            .unwrap();
+            s.checkpoint().unwrap();
+        }
+        let intact = read_journal(&path, &EventFilter::all(), None, None).unwrap();
+        assert!(intact.snapshot_used);
+        assert_eq!(intact.segments_total, 0);
+        assert_eq!(intact.events.len(), 3, "two logged + the checkpoint's own");
+        // Break the first journal record inside the snapshot — its last
+        // byte is the (empty) payload's count — and restore the footer,
+        // so only decoding that record can notice.
+        let snap_path = snapshot::snapshot_path(&path);
+        let mut bytes = std::fs::read(&snap_path).unwrap();
+        let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let mut at = 12 + header_len;
+        loop {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            if crate::codec::is_obs(&bytes[at + 4..at + 4 + len]) {
+                assert_eq!(bytes[at + 4 + len - 1], 0);
+                bytes[at + 4 + len - 1] = 9;
+                break;
+            }
+            at += 4 + len;
+        }
+        let body_end = bytes.len() - 8;
+        let footer = crate::hash::fnv1a_64_words(&bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&footer);
+        std::fs::write(&snap_path, bytes).unwrap();
+        let read = read_journal(&path, &EventFilter::all(), None, None).unwrap();
+        assert!(!read.snapshot_used && !read.snapshot_pruned);
+        assert_eq!(read.segments_total, 1, "segments are read from seq 1");
+        assert_eq!(read.events, intact.events, "nothing silently dropped");
+        // The zone still prunes without decoding anything.
+        let none = EventFilter::all().with_kind(EventKind::StalenessFlagged);
+        assert!(
+            read_journal(&path, &none, None, None)
+                .unwrap()
+                .snapshot_pruned
+        );
+        purge(&path);
+    }
+
+    #[test]
+    fn open_reports_where_recovery_time_went() {
+        let path = tmp("open-stages");
+        {
+            let s = build_rich_store(&path);
+            s.checkpoint().unwrap();
+            s.log_run(run("etl", 9_000, &[], &[])).unwrap();
+            s.sync().unwrap();
+        }
+        let s = WalStore::open(&path).unwrap();
+        let snap = s.telemetry().unwrap().snapshot();
+        let stages = [
+            "wal.open_snapshot_read_ns",
+            "wal.open_snapshot_import_ns",
+            "wal.open_tail_replay_ns",
+        ]
+        .map(|name| snap.gauges[name]);
+        assert!(stages.iter().all(|ns| *ns > 0), "{stages:?}");
+        let recovery = &snap.histograms["wal.recovery"];
+        assert_eq!(recovery.count, 1);
+        assert!(
+            stages.iter().sum::<i64>() as u64 <= recovery.sum,
+            "{stages:?}"
+        );
+        let rendered = snap.render_human();
+        assert!(
+            rendered.contains("wal.open_snapshot_import_ns"),
+            "{rendered}"
+        );
         purge(&path);
     }
 }

@@ -96,49 +96,6 @@ pub(crate) fn replay_file(
     }
 }
 
-/// Parse pre-split record payloads (snapshot import), preserving order.
-/// The error carries the index of the first undecodable record.
-pub(crate) fn parse_records(
-    slices: &[&[u8]],
-    workers: usize,
-) -> std::result::Result<Vec<WalEvent>, (usize, serde_json::Error)> {
-    if workers <= 1 || slices.len() < 4096 {
-        return slices
-            .iter()
-            .enumerate()
-            .map(|(i, s)| serde_json::from_slice::<WalEvent>(s).map_err(|e| (i, e)))
-            .collect();
-    }
-    let chunk = slices.len().div_ceil(workers);
-    let parsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = slices
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, part)| {
-                scope.spawn(move || {
-                    part.iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            serde_json::from_slice::<WalEvent>(s).map_err(|e| (ci * chunk + i, e))
-                        })
-                        .collect::<std::result::Result<Vec<WalEvent>, _>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("snapshot parse worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    // Chunks are contiguous, so the first failing chunk in order holds
-    // the lowest failing record index.
-    let mut out = Vec::with_capacity(slices.len());
-    for part in parsed {
-        out.extend(part?);
-    }
-    Ok(out)
-}
-
 /// The reference implementation: line-by-line, single thread.
 fn replay_serial(
     path: &Path,
